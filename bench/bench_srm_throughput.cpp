@@ -62,11 +62,7 @@ int main(int argc, char** argv) {
   // Spread files over the three default tiers: 1/2 local tape, 1/3
   // remote, the rest on the fast disk pool.
   MassStorageSystem mss(default_tiers(), w.catalog);
-  Rng placement_rng(wconfig.seed + 17);
-  for (FileId id = 0; id < w.catalog.count(); ++id) {
-    const double roll = placement_rng.uniform_double();
-    mss.place_file(id, roll < 0.5 ? 1u : (roll < 0.83 ? 2u : 0u));
-  }
+  place_tier_mix(mss, "0.5,0.33", wconfig.seed);
 
   TextTable table({"policy", "service_mix", "throughput_jobs_per_h",
                    "mean_response_s", "p95_response_s", "data_staged",

@@ -7,14 +7,14 @@
 //
 // Lives in namespace fbc::cluster -- fbc::ClusterConfig (grid/cluster.hpp)
 // is the *simulation*-level multi-site model; this one configures the
-// live serving cluster. fbclint L003 checks this field list against the
-// flag surface in tools/serving_common.hpp (add_cluster_options /
-// cluster_config_from_cli).
+// live serving cluster.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+
+#include "util/config_fields.hpp"
 
 namespace fbc::cluster {
 
@@ -50,44 +50,46 @@ inline const char* to_string(PlacementMode mode) noexcept {
   return "?";
 }
 
+/// The command-line fields of ClusterConfig, one row each (see
+/// util/config_fields.hpp). The help text doubles as the field's summary.
+// clang-format off
+#define FBC_CLUSTER_CONFIG_FIELDS(X)                                          \
+  X(std::uint32_t, shards, 4, "shards",                                       \
+    "BundleServer shards behind the router")                                  \
+  X(cluster::PlacementMode, placement, PlacementMode::BundleAffinity,         \
+    "placement", "bundle placement: affinity|hash")                           \
+  /* A bundle near shard capacity would evict everything its home shard       \
+     holds; splitting it is the lesser evil. */                               \
+  X(double, spill_threshold, 0.5, "spill-threshold",                          \
+    "bundle-to-shard-capacity ratio beyond which an affinity bundle "         \
+    "scatters across shards")                                                 \
+  /* More vnodes = smoother file distribution, slightly larger ring. */       \
+  X(std::uint32_t, vnodes, 64, "vnodes",                                      \
+    "consistent-hash virtual nodes per shard")                                \
+  X(std::uint32_t, replica_sites, 0, "replica-sites",                         \
+    "extra MSS replica sites for replica-aware fetch (0 = plain MSS)")        \
+  X(std::uint32_t, replicate_hot, 0, "replicate-hot",                         \
+    "hottest files replicated to every replica site")                         \
+  /* Checkins past the cap drop the connection instead of pooling it, so      \
+     a burst of concurrent acquires cannot grow the pool without bound. */    \
+  X(std::size_t, remote_pool_cap, 8, "remote-pool-cap",                       \
+    "idle connections kept per remote shard daemon")                          \
+  /* The router then stops routing requests to the shard (degraded            \
+     placement). */                                                           \
+  X(std::uint32_t, down_threshold, 3, "down-threshold",                       \
+    "consecutive NetErrors before a shard is marked down")                    \
+  /* One request per interval is routed at the dead shard as an               \
+     opportunistic probe (a failure just re-routes, so clients never see      \
+     it). 0 is deterministic, used by the replay harnesses. */                \
+  X(std::uint64_t, probe_ms, 500, "probe-ms",                                 \
+    "recovery-probe interval for down shards (0 = every request)")
+// clang-format on
+
 /// Configuration for one ClusterRouter and the shards behind it.
 struct ClusterConfig {
-  /// BundleServer shards behind the router.
-  std::uint32_t shards = 4;
+  FBC_CLUSTER_CONFIG_FIELDS(FBC_CONFIG_MEMBER)
 
-  /// Bundle placement strategy.
-  PlacementMode placement = PlacementMode::BundleAffinity;
-
-  /// Affinity bundles whose bytes exceed this fraction of one shard's
-  /// cache capacity scatter file-by-file instead (a bundle near shard
-  /// capacity would evict everything its home shard holds; splitting it
-  /// is the lesser evil -- ISSUE calls this the split-bundle fallback).
-  double spill_threshold = 0.5;
-
-  /// Consistent-hash virtual nodes per shard: more vnodes = smoother
-  /// file distribution, slightly larger ring.
-  std::uint32_t vnodes = 64;
-
-  /// Extra MSS replica sites for replica-aware fetch (0 = plain MSS).
-  std::uint32_t replica_sites = 0;
-
-  /// Hottest files replicated to every replica site before serving.
-  std::uint32_t replicate_hot = 0;
-
-  /// Idle connections a RemoteShard keeps per shard daemon. Checkins past
-  /// the cap drop the connection instead of pooling it, so a burst of
-  /// concurrent acquires cannot grow the pool without bound.
-  std::size_t remote_pool_cap = 8;
-
-  /// Consecutive NetError failures after which the router marks a shard
-  /// down and stops routing requests to it (degraded placement).
-  std::uint32_t down_threshold = 3;
-
-  /// Milliseconds between recovery probes of a down shard. One request
-  /// per interval is routed at the dead shard as an opportunistic probe
-  /// (a failure just re-routes, so clients never see it). 0 probes on
-  /// every request -- deterministic, used by the replay harnesses.
-  std::uint64_t probe_ms = 500;
+  bool operator==(const ClusterConfig&) const = default;
 };
 
 }  // namespace fbc::cluster

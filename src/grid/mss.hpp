@@ -7,6 +7,7 @@
 // queue, RPC) plus a streaming bandwidth, and assign every file to a tier.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,17 @@ struct StorageTier {
 /// Builds the three canonical tiers used in the examples/benches:
 /// a fast local disk pool, a local tape MSS and a remote (WAN) MSS.
 [[nodiscard]] std::vector<StorageTier> default_tiers();
+
+class MassStorageSystem;
+
+/// Places the catalog's files on default_tiers() per `mix`, the
+/// "<tape>,<remote>" fractions of the --tier-mix flag: that share of the
+/// files goes to local tape, that share to the remote MSS, and the rest
+/// stays on the disk pool. Deterministic in `seed`. Throws
+/// std::invalid_argument unless both fractions are plain numbers in [0,1]
+/// summing to at most 1.
+void place_tier_mix(MassStorageSystem& mss, const std::string& mix,
+                    std::uint64_t seed);
 
 /// File-to-tier placement plus fetch-time queries.
 class MassStorageSystem : public StorageBackend {

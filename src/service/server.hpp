@@ -75,6 +75,7 @@
 #include "service/endpoint.hpp"
 #include "service/lease.hpp"
 #include "service/protocol.hpp"
+#include "util/config_fields.hpp"
 #include "util/ordered_mutex.hpp"
 #include "util/rng.hpp"
 
@@ -90,72 +91,82 @@ enum class AdmitOrder {
 /// Parses "fifo" / "value" (throws std::invalid_argument otherwise).
 [[nodiscard]] AdmitOrder parse_admit_order(const std::string& name);
 
-/// Configuration of the serving layer. Every field here must be surfaced
-/// by both the fbcd and fbcload CLIs (enforced by fbclint L003).
+/// The --order spelling of `order` (inverse of parse_admit_order).
+[[nodiscard]] inline const char* to_string(AdmitOrder order) noexcept {
+  return order == AdmitOrder::Fifo ? "fifo" : "value";
+}
+
+/// The command-line fields of ServiceConfig, one row each (see
+/// util/config_fields.hpp). The help text doubles as the field's summary.
+// clang-format off
+#define FBC_SERVICE_CONFIG_FIELDS(X)                                          \
+  X(ByteSize, cache_bytes, 1 * GiB, "cache", "staging cache capacity")        \
+  X(std::string, policy, "optfb", "policy", "replacement policy name")        \
+  /* Acquires beyond the bound are rejected with a retry-after hint           \
+     instead of queuing. */                                                   \
+  X(std::size_t, max_queue, 64, "max-queue",                                  \
+    "admission queue bound (backpressure)")                                   \
+  X(service::AdmitOrder, order, AdmitOrder::Fifo, "order",                    \
+    "admission order: fifo|value")                                            \
+  X(std::uint32_t, timeout_ms, 30000, "timeout-ms",                           \
+    "per-request admission timeout (time waited in the queue)")               \
+  X(std::uint32_t, max_retries, 3, "max-retries",                             \
+    "MSS transfer retries per request")                                       \
+  /* Attempt k waits retry_backoff_ms * 2^(k-1), capped at 8x the base. */    \
+  X(std::uint32_t, retry_backoff_ms, 10, "retry-backoff-ms",                  \
+    "base transfer retry backoff")                                            \
+  X(double, transfer_fail_prob, 0.0, "fail-prob",                             \
+    "per-attempt MSS transfer failure prob")                                  \
+  /* 0 = no sleep: staging is instantaneous but still counted. */             \
+  X(double, time_scale, 0.0, "time-scale",                                    \
+    "wall seconds slept per simulated staging second")                        \
+  X(std::size_t, transfer_streams, 4, "streams",                              \
+    "parallel MSS transfer streams")                                          \
+  X(std::uint64_t, seed, 1, "seed", "failure-injection / policy seed")        \
+  /* With 0 the hint still saturates at the UINT32_MAX wire field. */         \
+  X(std::uint32_t, retry_after_cap_ms, 60000, "retry-cap-ms",                 \
+    "cap on the QueueFull retry-after hint (0 = uncapped)")                   \
+  X(std::size_t, span_capacity, 1024, "span-capacity",                        \
+    "per-request spans kept for debugging (0 disables)")                      \
+  /* The serving hot path defaults to Incremental (per-decision cost stays    \
+     ~flat as the history grows); shadow_diff and the sched_sim               \
+     equivalence suites pin its decisions against Reference. */               \
+  X(SelectEngine, engine, SelectEngine::Incremental, "engine",                \
+    "optfb selection engine: reference|incremental")                          \
+  /* Entries admitted under one admission-lock hold (the paper's              \
+     admission-queue scheduling, batched): 1 replays the serial server        \
+     exactly; larger values amortize the lock and the selection re-score      \
+     across up to this many grants with identical decisions. */               \
+  X(std::size_t, admission_batch, 8, "admission-batch",                       \
+    "queue entries admitted per drain pass (1 = serial)")                     \
+  /* Lease bookkeeping locks are per shard, never the admission mutex. */     \
+  X(std::size_t, lease_shards, 16, "lease-shards",                            \
+    "lease-table shard count")                                                \
+  /* A granted request whose bundle overlaps a transfer still in flight       \
+     waits for that transfer instead of starting its job before the           \
+     bytes arrive; off restores the fire-and-forget grant. */                 \
+  X(bool, coalesce, true, "no-coalesce",                                      \
+    "disable single-flight waiting on overlapping fetches")                   \
+  /* Needs a policy_factory that honors it, e.g. the serving tools'           \
+     wiring through testing::make_shadow_policy; a divergence throws out      \
+     of acquire(). */                                                         \
+  X(bool, shadow_diff, false, "shadow-diff",                                  \
+    "run the Reference engine in lock-step shadow and assert "                \
+    "bit-identical decisions (debug)")                                        \
+  /* One frame per recv pair and one send per reply: the serving bench        \
+     runs its baseline leg with this on, so the speedup is measured           \
+     against the old stack, not a hybrid. */                                  \
+  X(bool, legacy_wire, false, "legacy-wire",                                  \
+    "pre-batching transport: unbuffered per-frame reads, one send per "       \
+    "reply (bench baseline mode)")                                            \
+  /* Reported in HelloReply; 0 for a standalone fbcd. */                      \
+  X(std::uint32_t, shard_id, 0, "shard-id",                                   \
+    "this server's position in its cluster")
+// clang-format on
+
+/// Configuration of the serving layer.
 struct ServiceConfig {
-  /// Staging cache capacity.
-  Bytes cache_bytes = 1 * GiB;
-  /// Replacement policy name (core/registry.hpp).
-  std::string policy = "optfb";
-  /// Admission queue bound; acquires beyond it are rejected with a
-  /// retry-after hint instead of queuing (backpressure).
-  std::size_t max_queue = 64;
-  /// Admission order among queued requests.
-  AdmitOrder order = AdmitOrder::Fifo;
-  /// Per-request admission timeout (time waited in the queue).
-  std::uint32_t timeout_ms = 30000;
-  /// MSS transfer attempts beyond the first before giving up.
-  std::uint32_t max_retries = 3;
-  /// Base of the exponential backoff between transfer attempts; attempt k
-  /// waits retry_backoff_ms * 2^(k-1), capped at 8x the base.
-  std::uint32_t retry_backoff_ms = 10;
-  /// Probability that one simulated MSS transfer attempt fails.
-  double transfer_fail_prob = 0.0;
-  /// Wall-clock seconds slept per simulated staging second (0 = no sleep;
-  /// staging is instantaneous but still counted).
-  double time_scale = 0.0;
-  /// Parallel MSS transfer streams (grid/transfer LPT makespan).
-  std::size_t transfer_streams = 4;
-  /// Seed for the failure-injection RNG and stochastic policies.
-  std::uint64_t seed = 1;
-  /// Upper bound on the QueueFull retry-after hint; 0 means no cap beyond
-  /// the UINT32_MAX saturation of the wire field.
-  std::uint32_t retry_after_cap_ms = 60000;
-  /// Most recent per-request spans kept for debugging (0 disables).
-  std::size_t span_capacity = 1024;
-  /// Selection engine for optfb* policies. The serving hot path defaults
-  /// to Incremental (per-decision cost stays ~flat as the history grows);
-  /// shadow_diff and the sched_sim equivalence suites pin its decisions
-  /// against the Reference engine.
-  SelectEngine engine = SelectEngine::Incremental;
-  /// Queue entries admitted per drain pass under one admission-lock hold
-  /// (the paper's admission-queue scheduling section, batched): 1 replays
-  /// the serial one-at-a-time server exactly; larger values amortize the
-  /// lock and the selection re-score across up to this many grants with
-  /// identical decisions.
-  std::size_t admission_batch = 8;
-  /// Shards of the lease table (lease- and file-keyed maps); lease
-  /// bookkeeping locks are per-shard, never the admission mutex.
-  std::size_t lease_shards = 16;
-  /// Coalesce concurrent fetches: a granted request whose bundle overlaps
-  /// a transfer still in flight waits for that transfer instead of
-  /// starting its job before the bytes arrive (0 disables, restoring the
-  /// pre-coalescing fire-and-forget grant).
-  bool coalesce = true;
-  /// Debug/test builds: run the Reference engine in lock-step shadow next
-  /// to the configured one and assert bit-identical decisions (requires a
-  /// policy_factory that honors it, e.g. the serving tools' --shadow-diff
-  /// wiring through testing::make_shadow_policy; a divergence throws out
-  /// of acquire()).
-  bool shadow_diff = false;
-  /// Pre-batching wire loop: one frame per recv pair and one send per
-  /// reply, exactly the serial transport this PR series replaced. The
-  /// serving bench gate runs its baseline leg with this on so the
-  /// speedup is measured against the old stack, not a hybrid.
-  bool legacy_wire = false;
-  /// Position of this server in its cluster (reported in HelloReply);
-  /// 0 for a standalone fbcd.
-  std::uint32_t shard_id = 0;
+  FBC_SERVICE_CONFIG_FIELDS(FBC_CONFIG_MEMBER)
   /// Optional policy constructor override. When set, the server builds
   /// its replacement policy through this hook instead of make_policy --
   /// the seam the shadow_diff mode and the deterministic test harness use

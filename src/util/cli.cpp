@@ -1,7 +1,9 @@
 #include "util/cli.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -79,11 +81,21 @@ std::string CliParser::get_string(const std::string& name) const {
 
 std::uint64_t CliParser::get_u64(const std::string& name) const {
   const std::string& v = find(name).value;
-  try {
-    return std::stoull(v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + name + " is not an unsigned integer: " + v);
-  }
+  std::uint64_t out = 0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (ec != std::errc() || end != v.data() + v.size())
+    throw std::invalid_argument("option --" + name +
+                                " is not an unsigned integer: " + v);
+  return out;
+}
+
+std::uint32_t CliParser::get_u32(const std::string& name) const {
+  const std::uint64_t v = get_u64(name);
+  if (v > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("option --" + name +
+                                " exceeds the 32-bit range: " +
+                                find(name).value);
+  return static_cast<std::uint32_t>(v);
 }
 
 std::int64_t CliParser::get_i64(const std::string& name) const {

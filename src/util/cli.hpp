@@ -40,7 +40,11 @@ class CliParser {
   void parse(const std::vector<std::string>& args);
 
   [[nodiscard]] std::string get_string(const std::string& name) const;
+  /// Plain decimal digits only: a sign, a fraction, an exponent or any
+  /// trailing character throws std::invalid_argument naming the option.
   [[nodiscard]] std::uint64_t get_u64(const std::string& name) const;
+  /// get_u64, and also throws when the value exceeds UINT32_MAX.
+  [[nodiscard]] std::uint32_t get_u32(const std::string& name) const;
   [[nodiscard]] std::int64_t get_i64(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;

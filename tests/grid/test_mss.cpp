@@ -59,5 +59,33 @@ TEST(MassStorageSystem, Validation) {
   EXPECT_THROW((void)mss.tier_of(5), std::invalid_argument);
 }
 
+TEST(PlaceTierMix, SplitsTheCatalogByTheFractions) {
+  FileCatalog catalog(std::vector<Bytes>(1000, 1));
+  MassStorageSystem mss(default_tiers(), catalog);
+  place_tier_mix(mss, "0.5,0.3", 7);
+  std::vector<std::size_t> per_tier(3, 0);
+  for (FileId id = 0; id < catalog.count(); ++id) ++per_tier[mss.tier_of(id)];
+  EXPECT_NEAR(static_cast<double>(per_tier[1]), 500.0, 60.0);  // tape
+  EXPECT_NEAR(static_cast<double>(per_tier[2]), 300.0, 60.0);  // remote
+  // Deterministic in the seed.
+  MassStorageSystem again(default_tiers(), catalog);
+  place_tier_mix(again, "0.5,0.3", 7);
+  for (FileId id = 0; id < catalog.count(); ++id)
+    EXPECT_EQ(again.tier_of(id), mss.tier_of(id));
+  // The two fractions may cover the whole catalog.
+  place_tier_mix(mss, "1,0", 7);
+  for (FileId id = 0; id < catalog.count(); ++id)
+    EXPECT_EQ(mss.tier_of(id), 1u);
+}
+
+TEST(PlaceTierMix, RejectsMalformedMixes) {
+  FileCatalog catalog({100});
+  MassStorageSystem mss(default_tiers(), catalog);
+  for (const char* bad : {"1.5,0", "-0.2,0.5", "0.5x,0.3", "0.5,0.3x",
+                          "0.7,0.4", "0.5", ",0.3", "nan,0"})
+    EXPECT_THROW(place_tier_mix(mss, bad, 1), std::invalid_argument) << bad;
+  EXPECT_NO_THROW(place_tier_mix(mss, "0.33,0.67", 1));
+}
+
 }  // namespace
 }  // namespace fbc

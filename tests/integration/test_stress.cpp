@@ -3,6 +3,10 @@
 // other test checks only locally. Sized to stay within a few seconds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+
 #include "cache/simulator.hpp"
 #include "core/registry.hpp"
 #include "util/rng.hpp"
@@ -17,6 +21,18 @@ struct StressCase {
   QueueMode mode;
   double cache_scale;
 };
+
+// Prints a case by its fields, e.g. "optfb_q25_batch_c50". The default
+// printer dumps the raw bytes of the struct, policy pointer included, which
+// change with the load address, so the listed case names would differ
+// from one run to the next.
+void PrintTo(const StressCase& sc, std::ostream* os) {
+  std::string policy = sc.policy;
+  std::replace(policy.begin(), policy.end(), '-', '_');
+  *os << policy << "_q" << sc.queue_length
+      << (sc.mode == QueueMode::Batch ? "_batch" : "_sliding") << "_c"
+      << static_cast<int>(sc.cache_scale * 100);
+}
 
 class Stress : public ::testing::TestWithParam<StressCase> {};
 

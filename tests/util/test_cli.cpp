@@ -67,9 +67,13 @@ TEST(Cli, PositionalArgumentThrows) {
 }
 
 TEST(Cli, BadNumberThrows) {
-  CliParser cli = make_parser();
-  cli.parse({"--jobs=notanumber"});
-  EXPECT_THROW((void)cli.get_u64("jobs"), std::invalid_argument);
+  // A sign, trailing characters or an exponent used to parse as a wrapped
+  // or truncated count (-1 -> 2^64-1, 12abc -> 12, 1e6 -> 1).
+  for (const char* bad : {"notanumber", "-1", "12abc", "1e6"}) {
+    CliParser cli = make_parser();
+    cli.parse({std::string("--jobs=") + bad});
+    EXPECT_THROW((void)cli.get_u64("jobs"), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Cli, FlagWithBadValueThrows) {

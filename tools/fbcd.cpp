@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     const Workload workload =
         tools::build_scenario_workload(cli, config.cache_bytes);
     MassStorageSystem mss(default_tiers(), workload.catalog);
-    tools::place_tier_mix(mss, cli);
+    place_tier_mix(mss, cli.get_string("tier-mix"), cli.get_u64("wseed"));
 
     service::BundleServer server(config, mss);
     service::BundleDaemon daemon(

@@ -45,42 +45,6 @@ std::atomic<bool> g_stop{false};
 
 void handle_signal(int) { g_stop.store(true); }
 
-/// The flags a spawned fbcd child inherits from the grid's own CLI: the
-/// full service + scenario surface, so every shard builds the exact
-/// workload and serving stack the router plans against.
-std::vector<std::string> shard_daemon_args(const CliParser& cli,
-                                           std::uint32_t shard_id) {
-  std::vector<std::string> args = {
-      "--port=0",
-      "--shard-id=" + std::to_string(shard_id),
-      "--workers=" + std::to_string(cli.get_u64("workers")),
-      "--scenario=" + cli.get_string("scenario"),
-      "--wseed=" + std::to_string(cli.get_u64("wseed")),
-      "--jobs=" + std::to_string(cli.get_u64("jobs")),
-      "--tier-mix=" + cli.get_string("tier-mix"),
-      "--cache=" + cli.get_string("cache"),
-      "--policy=" + cli.get_string("policy"),
-      "--max-queue=" + std::to_string(cli.get_u64("max-queue")),
-      "--order=" + cli.get_string("order"),
-      "--timeout-ms=" + std::to_string(cli.get_u64("timeout-ms")),
-      "--max-retries=" + std::to_string(cli.get_u64("max-retries")),
-      "--retry-backoff-ms=" + std::to_string(cli.get_u64("retry-backoff-ms")),
-      "--fail-prob=" + cli.get_string("fail-prob"),
-      "--time-scale=" + cli.get_string("time-scale"),
-      "--streams=" + std::to_string(cli.get_u64("streams")),
-      "--seed=" + std::to_string(cli.get_u64("seed")),
-      "--retry-cap-ms=" + std::to_string(cli.get_u64("retry-cap-ms")),
-      "--span-capacity=" + std::to_string(cli.get_u64("span-capacity")),
-      "--engine=" + cli.get_string("engine"),
-      "--admission-batch=" + std::to_string(cli.get_u64("admission-batch")),
-      "--lease-shards=" + std::to_string(cli.get_u64("lease-shards")),
-  };
-  if (cli.get_flag("no-coalesce")) args.push_back("--no-coalesce");
-  if (cli.get_flag("shadow-diff")) args.push_back("--shadow-diff");
-  if (cli.get_flag("legacy-wire")) args.push_back("--legacy-wire");
-  return args;
-}
-
 /// Path of the fbcd binary for --spawn-remote: the --fbcd flag, or the
 /// sibling of this binary (build/tools/fbcgrid -> build/tools/fbcd).
 std::string resolve_fbcd_path(const CliParser& cli, const char* argv0) {
@@ -145,8 +109,8 @@ int main(int argc, char** argv) {
       if (spawn) {
         const std::string fbcd = resolve_fbcd_path(cli, argv[0]);
         for (std::uint32_t i = 0; i < cluster_config.shards; ++i)
-          fleet.push_back(
-              tools::spawn_shard_daemon(fbcd, shard_daemon_args(cli, i)));
+          fleet.push_back(tools::spawn_shard_daemon(
+              fbcd, tools::shard_daemon_args(cli, i)));
         for (std::size_t i = 0; i < fleet.size(); ++i) {
           ports.push_back(fleet[i].port);
           // Parseable per-child line (the CI smoke kills one by pid).

@@ -1,8 +1,6 @@
 // Fixture cluster router: mints the grid.* metric names. grid.route.single
 // is documented in the fixture docs/CLUSTER.md; grid.rollback.lost is the
 // seeded undocumented-metric gap (L008).
-#include "cluster/config.hpp"
-
 namespace fx2 {
 
 void export_counter(const char* name, unsigned long long value);

@@ -1,24 +1,7 @@
-// Fixture serving config: cache_bytes, timeout_ms and admission_batch are
-// surfaced by the fixture serving_common.hpp; secret_knob and lease_shards
-// are seeded L003 gaps. policy_factory is a callable member -- exempt from
-// the flag-surface requirement (function-typed fields are injection seams,
-// not CLI knobs) -- so it must NOT fire.
+// Fixture serving layer: the L004 export scan and the L008 docs anchor.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <string>
-
 namespace fx2 {
-
-struct ServiceConfig {
-  std::uint64_t cache_bytes = 1024;
-  std::uint64_t timeout_ms = 5000;
-  std::uint32_t secret_knob = 7;  // fbclint:expect(L003)
-  std::uint64_t admission_batch = 8;
-  std::uint64_t lease_shards = 16;  // fbclint:expect(L003)
-  std::function<void(const std::string&)> policy_factory;
-};
 
 class Histogram;
 class CounterRegistry;

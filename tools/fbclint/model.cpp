@@ -554,15 +554,8 @@ ProjectModel build_model(std::vector<SourceFile> files) {
       model.obs_histogram_hpp = static_cast<int>(i);
     if (path_ends_with(f.path, "obs/counter.hpp"))
       model.obs_counter_hpp = static_cast<int>(i);
-    if (path_ends_with(f.path, "cluster/config.hpp"))
-      model.cluster_config_hpp = static_cast<int>(i);
     if (path_ends_with(f.path, "cluster/router.cpp"))
       model.router_cpp = static_cast<int>(i);
-    if (path_ends_with(f.path, "fbcd.cpp") ||
-        path_ends_with(f.path, "fbcload.cpp") ||
-        path_ends_with(f.path, "fbcgrid.cpp") ||
-        path_ends_with(f.path, "serving_common.hpp"))
-      model.serving_tools.push_back(static_cast<int>(i));
   }
   for (const std::string& name : model.view_returners)
     model.owning_returners.erase(name);

@@ -118,7 +118,7 @@ struct ProjectModel {
   int registry_hpp = -1;  // path ends core/registry.hpp
   int metrics_hpp = -1;   // path ends cache/metrics.hpp
   int fbcsim_cpp = -1;    // basename fbcsim.cpp
-  int service_hpp = -1;   // path ends service/server.hpp (ServiceConfig)
+  int service_hpp = -1;   // path ends service/server.hpp (BundleServer)
   int protocol_hpp = -1;  // path ends service/protocol.hpp (MsgType)
   int protocol_cpp = -1;  // path ends service/protocol.cpp (codec switches)
   int server_cpp = -1;    // path ends service/server.cpp (L008 stats/metrics)
@@ -128,15 +128,9 @@ struct ProjectModel {
   /// members must all be exported by BundleServer::metrics().
   int obs_histogram_hpp = -1;  // path ends obs/histogram.hpp
   int obs_counter_hpp = -1;    // path ends obs/counter.hpp
-  /// Sharded-cluster anchors: ClusterConfig's home (L003 field/CLI
-  /// coherence) and the router translation unit, the only other file
-  /// that mints obs metric names (L008 documentation scan).
-  int cluster_config_hpp = -1;  // path ends cluster/config.hpp
-  int router_cpp = -1;          // path ends cluster/router.cpp
-  /// Serving-tool CLI surface: fbcd.cpp, fbcload.cpp, fbcgrid.cpp and
-  /// their shared serving_common.hpp. ServiceConfig and ClusterConfig
-  /// fields must appear somewhere in this union (L003).
-  std::vector<int> serving_tools;
+  /// The router translation unit, the only other file that mints obs
+  /// metric names (L008 documentation scan).
+  int router_cpp = -1;  // path ends cluster/router.cpp
 };
 
 /// Suppression / expectation markers parsed from comments.

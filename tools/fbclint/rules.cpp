@@ -241,95 +241,6 @@ std::vector<Diagnostic> rule_registry_completeness(const ProjectModel& model) {
     }
   }
 
-  // (d) Every ServiceConfig field must be surfaced by the serving-tool
-  // CLIs (fbcd / fbcload, directly or via their shared serving_common).
-  if (model.service_hpp >= 0 && !model.serving_tools.empty()) {
-    const SourceFile& hpp =
-        model.files[static_cast<std::size_t>(model.service_hpp)];
-    std::set<std::string> tool_idents;
-    for (const int tool : model.serving_tools)
-      for (const Token& t :
-           model.files[static_cast<std::size_t>(tool)].tokens)
-        if (t.kind == TokKind::Identifier) tool_idents.insert(t.text);
-    const auto& toks = hpp.tokens;
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-      if (!(is_ident(toks[i], "struct") || is_ident(toks[i], "class")) ||
-          !is_ident(toks[i + 1], "ServiceConfig") ||
-          !is_punct(toks[i + 2], "{"))
-        continue;
-      const std::size_t body_close = match_forward(toks, i + 2);
-      std::size_t stmt_begin = i + 3;
-      int depth = 0;
-      bool has_paren = false;
-      for (std::size_t k = i + 3; k < body_close && k < toks.size(); ++k) {
-        if (is_punct(toks[k], "{")) ++depth;
-        if (is_punct(toks[k], "}")) --depth;
-        if (is_punct(toks[k], "(")) has_paren = true;
-        if (depth == 0 && is_punct(toks[k], ";")) {
-          std::size_t name_idx = 0;
-          for (std::size_t m = stmt_begin; m < k; ++m) {
-            if (is_punct(toks[m], "=")) break;
-            if (toks[m].kind == TokKind::Identifier) name_idx = m;
-          }
-          if (!has_paren && name_idx != 0 &&
-              tool_idents.count(toks[name_idx].text) == 0)
-            out.push_back({"L003", hpp.path, toks[name_idx].line,
-                           "ServiceConfig field '" + toks[name_idx].text +
-                               "' is not surfaced by the fbcd/fbcload "
-                               "CLIs (serving_common.hpp)"});
-          stmt_begin = k + 1;
-          has_paren = false;
-        }
-      }
-      break;
-    }
-  }
-
-  // (e) Every ClusterConfig field must be surfaced by the cluster-serving
-  // CLI union (fbcgrid / fbcload --cluster, via their shared
-  // serving_common). Same walk as (d) over cluster/config.hpp.
-  if (model.cluster_config_hpp >= 0 && !model.serving_tools.empty()) {
-    const SourceFile& hpp =
-        model.files[static_cast<std::size_t>(model.cluster_config_hpp)];
-    std::set<std::string> tool_idents;
-    for (const int tool : model.serving_tools)
-      for (const Token& t :
-           model.files[static_cast<std::size_t>(tool)].tokens)
-        if (t.kind == TokKind::Identifier) tool_idents.insert(t.text);
-    const auto& toks = hpp.tokens;
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-      if (!(is_ident(toks[i], "struct") || is_ident(toks[i], "class")) ||
-          !is_ident(toks[i + 1], "ClusterConfig") ||
-          !is_punct(toks[i + 2], "{"))
-        continue;
-      const std::size_t body_close = match_forward(toks, i + 2);
-      std::size_t stmt_begin = i + 3;
-      int depth = 0;
-      bool has_paren = false;
-      for (std::size_t k = i + 3; k < body_close && k < toks.size(); ++k) {
-        if (is_punct(toks[k], "{")) ++depth;
-        if (is_punct(toks[k], "}")) --depth;
-        if (is_punct(toks[k], "(")) has_paren = true;
-        if (depth == 0 && is_punct(toks[k], ";")) {
-          std::size_t name_idx = 0;
-          for (std::size_t m = stmt_begin; m < k; ++m) {
-            if (is_punct(toks[m], "=")) break;
-            if (toks[m].kind == TokKind::Identifier) name_idx = m;
-          }
-          if (!has_paren && name_idx != 0 &&
-              tool_idents.count(toks[name_idx].text) == 0)
-            out.push_back({"L003", hpp.path, toks[name_idx].line,
-                           "ClusterConfig field '" + toks[name_idx].text +
-                               "' is not surfaced by the fbcgrid/fbcload "
-                               "--cluster CLIs (serving_common.hpp)"});
-          stmt_begin = k + 1;
-          has_paren = false;
-        }
-      }
-      break;
-    }
-  }
-
   // (f) Every switch over MsgType in the protocol codec must stay
   // exhaustive: one case per enumerator and no 'default' (a default
   // would silently swallow a newly added message type).

@@ -360,7 +360,8 @@ int main(int argc, char** argv) {
       } else {
         mss = std::make_unique<MassStorageSystem>(default_tiers(),
                                                   workload.catalog);
-        tools::place_tier_mix(*mss, cli);
+        place_tier_mix(*mss, cli.get_string("tier-mix"),
+                       cli.get_u64("wseed"));
         server = std::make_unique<service::BundleServer>(config, *mss);
         daemon = std::make_unique<service::BundleDaemon>(
             *server, /*port=*/0, cli.get_u64("workers"));
@@ -375,7 +376,7 @@ int main(int argc, char** argv) {
     for (std::size_t w = 0; w < connections; ++w) {
       threads.emplace_back(run_worker, port, std::cref(workload), w,
                            connections, total_requests, hold_ms,
-                           cli.get_u64("timeout-ms"),
+                           config.timeout_ms,
                            !cli.get_flag("no-pipeline"),
                            config.legacy_wire, &results[w]);
     }

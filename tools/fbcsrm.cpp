@@ -15,7 +15,6 @@
 #include "grid/mss.hpp"
 #include "grid/srm.hpp"
 #include "util/cli.hpp"
-#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/trace.hpp"
@@ -40,23 +39,8 @@ int main(int argc, char** argv) {
     cli.parse(argc, argv);
     const Trace trace = load_trace(cli.get_string("trace"));
 
-    // Tier placement: "<tape_frac>,<remote_frac>".
-    const std::string mix = cli.get_string("tier-mix");
-    const auto comma = mix.find(',');
-    if (comma == std::string::npos)
-      throw std::invalid_argument("--tier-mix needs 'tape,remote' fractions");
-    const double tape_frac = std::stod(mix.substr(0, comma));
-    const double remote_frac = std::stod(mix.substr(comma + 1));
     MassStorageSystem mss(default_tiers(), trace.catalog);
-    Rng placement_rng(cli.get_u64("seed") + 17);
-    for (FileId id = 0; id < trace.catalog.count(); ++id) {
-      const double roll = placement_rng.uniform_double();
-      if (roll < tape_frac) {
-        mss.place_file(id, 1);
-      } else if (roll < tape_frac + remote_frac) {
-        mss.place_file(id, 2);
-      }
-    }
+    place_tier_mix(mss, cli.get_string("tier-mix"), cli.get_u64("seed"));
 
     std::vector<GridJob> jobs;
     jobs.reserve(trace.jobs.size());

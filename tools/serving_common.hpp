@@ -1,7 +1,9 @@
-// Shared CLI plumbing for the serving tools (fbcd, fbcload).
+// Shared CLI plumbing for the serving tools (fbcd, fbcload, fbcgrid).
 //
-// Both tools must expose every ServiceConfig field as a flag (fbclint L003
-// checks the field list against the identifiers used here) and must build
+// The config flags come from the field lists next to the structs
+// (FBC_SERVICE_CONFIG_FIELDS, FBC_CLUSTER_CONFIG_FIELDS; see
+// util/config_fields.hpp), expanded here into flag registration, parsing
+// and fbcgrid's per-shard fbcd command lines. The tools must also build
 // the *same* workload from the same scenario flags: fbcd serves the
 // catalog, fbcload replays the job stream against it, and because
 // generation is seed-deterministic the two processes agree on every file
@@ -12,8 +14,10 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/config.hpp"
@@ -27,72 +31,76 @@
 #include "testing/oracles.hpp"
 #include "util/bytes.hpp"
 #include "util/cli.hpp"
-#include "util/rng.hpp"
+#include "util/config_fields.hpp"
 #include "workload/scenarios.hpp"
 #include "workload/workload.hpp"
 
 namespace fbc::tools {
 
+/// Registers the flag of one field-list row; the --help default is the
+/// struct's own initial value.
+template <class Kind>
+void add_field(CliParser& cli, const char* flag, const char* help,
+               const config_field_t<Kind>& initial) {
+  using T = config_field_t<Kind>;
+  if constexpr (std::is_same_v<T, bool>) {
+    cli.add_flag(flag, help);
+  } else if constexpr (std::is_same_v<Kind, ByteSize>) {
+    cli.add_option(flag, help, format_bytes(initial));
+  } else if constexpr (std::is_enum_v<T>) {
+    cli.add_option(flag, help, to_string(initial));
+  } else {
+    std::ostringstream shown;
+    shown << initial;
+    cli.add_option(flag, help, shown.str());
+  }
+}
+
+/// Parses one field-list row. A flag the command line did not set leaves
+/// the struct's initial value in place; a bool flag flips it.
+template <class Kind>
+void read_field(const CliParser& cli, const char* flag,
+                config_field_t<Kind>& field) {
+  using T = config_field_t<Kind>;
+  if (!cli.was_set(flag)) return;
+  if constexpr (std::is_same_v<T, bool>) {
+    if (cli.get_flag(flag)) field = !field;
+  } else if constexpr (std::is_same_v<Kind, ByteSize>) {
+    field = parse_bytes(cli.get_string(flag));
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    field = cli.get_u32(flag);
+  } else if constexpr (std::is_integral_v<T>) {
+    field = cli.get_u64(flag);
+  } else if constexpr (std::is_same_v<T, double>) {
+    field = cli.get_double(flag);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    field = cli.get_string(flag);
+  } else if constexpr (std::is_same_v<T, service::AdmitOrder>) {
+    field = service::parse_admit_order(cli.get_string(flag));
+  } else if constexpr (std::is_same_v<T, SelectEngine>) {
+    field = parse_select_engine(cli.get_string(flag));
+  } else {
+    static_assert(std::is_same_v<T, cluster::PlacementMode>);
+    field = cluster::parse_placement(cli.get_string(flag));
+  }
+}
+
+#define FBC_ADD_FIELD(kind, member, initial, flag, help) \
+  add_field<kind>(cli, flag, help, defaults.member);
+#define FBC_READ_FIELD(kind, member, initial, flag, help) \
+  read_field<kind>(cli, flag, config.member);
+#define FBC_FIELD_FLAG(kind, member, initial, flag, help) flag,
+
 /// Registers one flag per service::ServiceConfig field.
 inline void add_service_options(CliParser& cli) {
-  cli.add_option("cache", "staging cache capacity", "1GiB");
-  cli.add_option("policy", "replacement policy name", "optfb");
-  cli.add_option("max-queue", "admission queue bound (backpressure)", "64");
-  cli.add_option("order", "admission order: fifo|value", "fifo");
-  cli.add_option("timeout-ms", "per-request admission timeout", "30000");
-  cli.add_option("max-retries", "MSS transfer retries per request", "3");
-  cli.add_option("retry-backoff-ms", "base transfer retry backoff", "10");
-  cli.add_option("fail-prob", "per-attempt MSS transfer failure prob", "0");
-  cli.add_option("time-scale",
-                 "wall seconds slept per simulated staging second", "0");
-  cli.add_option("streams", "parallel MSS transfer streams", "4");
-  cli.add_option("seed", "failure-injection / policy seed", "1");
-  cli.add_option("retry-cap-ms",
-                 "cap on the QueueFull retry-after hint (0 = uncapped)",
-                 "60000");
-  cli.add_option("span-capacity",
-                 "per-request spans kept for debugging (0 disables)", "1024");
-  cli.add_option("engine", "optfb selection engine: reference|incremental",
-                 "incremental");
-  cli.add_option("admission-batch",
-                 "queue entries admitted per drain pass (1 = serial)", "8");
-  cli.add_option("lease-shards", "lease-table shard count", "16");
-  cli.add_flag("no-coalesce",
-               "disable single-flight waiting on overlapping fetches");
-  cli.add_flag("shadow-diff",
-               "run the Reference engine in lock-step shadow and assert "
-               "bit-identical decisions (debug)");
-  cli.add_flag("legacy-wire",
-               "pre-batching transport: unbuffered per-frame reads, one "
-               "send per reply (bench baseline mode)");
-  cli.add_option("shard-id", "this server's position in its cluster", "0");
+  const service::ServiceConfig defaults;
+  FBC_SERVICE_CONFIG_FIELDS(FBC_ADD_FIELD)
 }
 
 /// Builds a ServiceConfig from the flags added above.
 inline service::ServiceConfig service_config_from_cli(const CliParser& cli) {
   service::ServiceConfig config;
-  config.cache_bytes = parse_bytes(cli.get_string("cache"));
-  config.policy = cli.get_string("policy");
-  config.max_queue = cli.get_u64("max-queue");
-  config.order = service::parse_admit_order(cli.get_string("order"));
-  config.timeout_ms = static_cast<std::uint32_t>(cli.get_u64("timeout-ms"));
-  config.max_retries = static_cast<std::uint32_t>(cli.get_u64("max-retries"));
-  config.retry_backoff_ms =
-      static_cast<std::uint32_t>(cli.get_u64("retry-backoff-ms"));
-  config.transfer_fail_prob = cli.get_double("fail-prob");
-  config.time_scale = cli.get_double("time-scale");
-  config.transfer_streams = cli.get_u64("streams");
-  config.seed = cli.get_u64("seed");
-  config.retry_after_cap_ms =
-      static_cast<std::uint32_t>(cli.get_u64("retry-cap-ms"));
-  config.span_capacity = cli.get_u64("span-capacity");
-  config.engine = parse_select_engine(cli.get_string("engine"));
-  config.admission_batch = cli.get_u64("admission-batch");
-  config.lease_shards = cli.get_u64("lease-shards");
-  config.coalesce = !cli.get_flag("no-coalesce");
-  config.shadow_diff = cli.get_flag("shadow-diff");
-  config.legacy_wire = cli.get_flag("legacy-wire");
-  config.shard_id = static_cast<std::uint32_t>(cli.get_u64("shard-id"));
+  FBC_SERVICE_CONFIG_FIELDS(FBC_READ_FIELD)
   if (config.shadow_diff) {
     // The server itself cannot depend on the testing library; install its
     // prefix-aware factory so "enginediff:<policy>" wraps the configured
@@ -106,51 +114,35 @@ inline service::ServiceConfig service_config_from_cli(const CliParser& cli) {
 }
 
 /// Registers one flag per cluster::ClusterConfig field (fbcgrid and
-/// fbcload --cluster share this surface; fbclint L003 checks the field
-/// list against the identifiers used here).
+/// fbcload --cluster share this surface).
 inline void add_cluster_options(CliParser& cli) {
-  cli.add_option("shards", "BundleServer shards behind the router", "4");
-  cli.add_option("placement", "bundle placement: affinity|hash", "affinity");
-  cli.add_option("spill-threshold",
-                 "bundle-to-shard-capacity ratio beyond which an affinity "
-                 "bundle scatters across shards",
-                 "0.5");
-  cli.add_option("vnodes", "consistent-hash virtual nodes per shard", "64");
-  cli.add_option("replica-sites",
-                 "extra MSS replica sites for replica-aware fetch "
-                 "(0 = plain MSS)",
-                 "0");
-  cli.add_option("replicate-hot",
-                 "hottest files replicated to every replica site", "0");
-  cli.add_option("remote-pool-cap",
-                 "idle connections kept per remote shard daemon", "8");
-  cli.add_option("down-threshold",
-                 "consecutive NetErrors before a shard is marked down", "3");
-  cli.add_option("probe-ms",
-                 "recovery-probe interval for down shards (0 = every "
-                 "request)",
-                 "500");
+  const cluster::ClusterConfig defaults;
+  FBC_CLUSTER_CONFIG_FIELDS(FBC_ADD_FIELD)
 }
 
 /// Builds a ClusterConfig from the flags added above.
 inline cluster::ClusterConfig cluster_config_from_cli(const CliParser& cli) {
   cluster::ClusterConfig config;
-  config.shards = static_cast<std::uint32_t>(cli.get_u64("shards"));
-  config.placement = cluster::parse_placement(cli.get_string("placement"));
-  config.spill_threshold = cli.get_double("spill-threshold");
-  config.vnodes = static_cast<std::uint32_t>(cli.get_u64("vnodes"));
-  config.replica_sites =
-      static_cast<std::uint32_t>(cli.get_u64("replica-sites"));
-  config.replicate_hot =
-      static_cast<std::uint32_t>(cli.get_u64("replicate-hot"));
-  config.remote_pool_cap = cli.get_u64("remote-pool-cap");
-  config.down_threshold =
-      static_cast<std::uint32_t>(cli.get_u64("down-threshold"));
-  config.probe_ms = cli.get_u64("probe-ms");
+  FBC_CLUSTER_CONFIG_FIELDS(FBC_READ_FIELD)
   return config;
 }
 
-inline void place_tier_mix(MassStorageSystem& mss, const CliParser& cli);
+/// The command line of fbcgrid's fbcd child `shard_id`: every service and
+/// scenario flag the grid was given, forwarded as the raw string it was
+/// given in, so each shard builds the exact workload and serving stack the
+/// router plans against. The shard id is the child's own.
+inline std::vector<std::string> shard_daemon_args(const CliParser& cli,
+                                                  std::uint32_t shard_id) {
+  std::vector<std::string> args = {"--port=0",
+                                   "--shard-id=" + std::to_string(shard_id)};
+  for (const char* flag : {"workers", "scenario", "wseed", "jobs", "tier-mix",
+                           FBC_SERVICE_CONFIG_FIELDS(FBC_FIELD_FLAG)}) {
+    const std::string name = flag;
+    if (name != "shard-id" && cli.was_set(name))
+      args.push_back("--" + name + "=" + cli.get_string(name));
+  }
+  return args;
+}
 
 /// The storage substrate behind a cluster: a plain tiered MSS, or a
 /// ReplicaManager when --replica-sites asks for replica-aware fetch.
@@ -175,7 +167,8 @@ inline ClusterBackend make_cluster_backend(
   if (cluster_config.replica_sites == 0) {
     out.mss =
         std::make_unique<MassStorageSystem>(default_tiers(), workload.catalog);
-    place_tier_mix(*out.mss, cli);
+    place_tier_mix(*out.mss, cli.get_string("tier-mix"),
+                   cli.get_u64("wseed"));
     out.backend = out.mss.get();
     return out;
   }
@@ -325,26 +318,6 @@ inline Workload build_scenario_workload(const CliParser& cli,
     return generate_bitmap_workload(config);
   }
   throw std::invalid_argument("unknown --scenario: " + scenario);
-}
-
-/// Spreads catalog files over the default three MSS tiers per --tier-mix,
-/// with the same deterministic placement fbcsrm uses.
-inline void place_tier_mix(MassStorageSystem& mss, const CliParser& cli) {
-  const std::string mix = cli.get_string("tier-mix");
-  const auto comma = mix.find(',');
-  if (comma == std::string::npos)
-    throw std::invalid_argument("--tier-mix needs 'tape,remote' fractions");
-  const double tape_frac = std::stod(mix.substr(0, comma));
-  const double remote_frac = std::stod(mix.substr(comma + 1));
-  Rng placement_rng(cli.get_u64("wseed") + 17);
-  for (FileId id = 0; id < mss.catalog().count(); ++id) {
-    const double roll = placement_rng.uniform_double();
-    if (roll < tape_frac) {
-      mss.place_file(id, 1);
-    } else if (roll < tape_frac + remote_frac) {
-      mss.place_file(id, 2);
-    }
-  }
 }
 
 }  // namespace fbc::tools
