@@ -1,6 +1,5 @@
 #include "cache/cache.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace fbc {
@@ -11,12 +10,14 @@ DiskCache::DiskCache(Bytes capacity, const FileCatalog& catalog)
     throw std::invalid_argument("DiskCache: capacity must be positive");
   slot_.resize(catalog.count(), kNotResident);
   pins_.resize(catalog.count(), 0);
+  pin_slot_.resize(catalog.count(), 0);
 }
 
 void DiskCache::grow_tables(FileId id) {
   if (id >= slot_.size()) {
     slot_.resize(id + 1, kNotResident);
     pins_.resize(id + 1, 0);
+    pin_slot_.resize(id + 1, 0);
   }
 }
 
@@ -77,13 +78,24 @@ bool DiskCache::evict(FileId id) {
 }
 
 void DiskCache::pin(FileId id) {
-  assert(contains(id));
-  ++pins_[id];
+  if (!contains(id))
+    throw std::runtime_error("DiskCache::pin: file is not resident");
+  if (pins_[id]++ > 0) return;
+  pin_slot_[id] = static_cast<std::uint32_t>(pinned_list_.size());
+  pinned_list_.push_back(id);
+  pinned_bytes_ += catalog_->size_of(id);
 }
 
 void DiskCache::unpin(FileId id) {
-  assert(id < pins_.size() && pins_[id] > 0);
-  --pins_[id];
+  if (!pinned(id))
+    throw std::runtime_error("DiskCache::unpin: file is not pinned");
+  if (--pins_[id] > 0) return;
+  const std::uint32_t pos = pin_slot_[id];
+  const FileId last = pinned_list_.back();
+  pinned_list_[pos] = last;
+  pin_slot_[last] = pos;
+  pinned_list_.pop_back();
+  pinned_bytes_ -= catalog_->size_of(id);
 }
 
 bool DiskCache::pinned(FileId id) const noexcept {

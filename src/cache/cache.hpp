@@ -4,6 +4,9 @@
 // supports pinning: files belonging to the job currently being admitted are
 // pinned so no replacement policy can evict them out from under the job
 // (the paper's service model requires the whole bundle resident at once).
+// The pinned set and its byte total are maintained on every 0 <-> 1 pin
+// transition, so policies and admission checks read them in O(|pinned|)
+// instead of scanning the resident set.
 #pragma once
 
 #include <unordered_set>
@@ -18,8 +21,11 @@ namespace fbc {
 ///
 /// Invariants (checked in debug builds, maintained unconditionally):
 ///  * used_bytes() <= capacity() at all times,
-///  * a pinned file cannot be evicted,
-///  * insert/evict keep the resident set and byte accounting consistent.
+///  * a pinned file cannot be evicted, and only a resident file can be
+///    pinned (so the pinned set is a subset of the resident set),
+///  * insert/evict keep the resident set and byte accounting consistent,
+///  * pin/unpin keep pinned_files() and pinned_bytes() consistent with the
+///    per-file pin counts.
 class DiskCache {
  public:
   /// Creates an empty cache of `capacity` bytes over `catalog`.
@@ -61,14 +67,23 @@ class DiskCache {
   bool evict(FileId id);
 
   /// Pins a resident file (counted: pin twice, unpin twice).
-  /// Precondition: contains(id).
+  /// Throws std::runtime_error if the file is not resident.
   void pin(FileId id);
 
-  /// Releases one pin. Precondition: pin count > 0.
+  /// Releases one pin. Throws std::runtime_error if the file is not pinned.
   void unpin(FileId id);
 
   /// True when `id` has at least one outstanding pin.
   [[nodiscard]] bool pinned(FileId id) const noexcept;
+
+  /// Files with at least one outstanding pin (unspecified order; stable
+  /// between pin-count transitions).
+  [[nodiscard]] std::span<const FileId> pinned_files() const noexcept {
+    return pinned_list_;
+  }
+
+  /// Total size of pinned_files().
+  [[nodiscard]] Bytes pinned_bytes() const noexcept { return pinned_bytes_; }
 
   /// Read-only snapshot view of resident file ids (unspecified order; stable
   /// between mutations).
@@ -90,13 +105,17 @@ class DiskCache {
   Bytes capacity_;
   Bytes used_ = 0;
   const FileCatalog* catalog_;
-  // Dense membership/pins keyed by FileId for O(1) lookups, plus a compact
-  // list for iteration. slot_[id] is the index of id in resident_list_, or
-  // kNotResident.
+  // Dense membership/pins keyed by FileId for O(1) lookups, plus compact
+  // lists for iteration. slot_[id] is the index of id in resident_list_, or
+  // kNotResident; pin_slot_[id] is the index of id in pinned_list_ while
+  // pins_[id] > 0.
   static constexpr std::uint32_t kNotResident = 0xffffffffU;
   std::vector<std::uint32_t> slot_;
   std::vector<std::uint32_t> pins_;
+  std::vector<std::uint32_t> pin_slot_;
   std::vector<FileId> resident_list_;
+  std::vector<FileId> pinned_list_;
+  Bytes pinned_bytes_ = 0;
 };
 
 }  // namespace fbc

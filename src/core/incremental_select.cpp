@@ -1,6 +1,7 @@
 #include "core/incremental_select.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 
@@ -38,10 +39,6 @@ double IncrementalSelector::adjusted_size(FileId id) const noexcept {
   return static_cast<double>(catalog_->size_of(id)) / static_cast<double>(d);
 }
 
-bool IncrementalSelector::is_free(FileId id) const noexcept {
-  return std::binary_search(free_sorted_.begin(), free_sorted_.end(), id);
-}
-
 void IncrementalSelector::reset() {
   synced_ = false;
   // Everything else is rebuilt by the next sync(); epochs keep counting so
@@ -49,19 +46,19 @@ void IncrementalSelector::reset() {
 }
 
 void IncrementalSelector::add_supported(std::uint32_t entry) {
-  if (supported_pos_[entry] != 0) return;
-  supported_.push_back(entry);
-  supported_pos_[entry] = static_cast<std::uint32_t>(supported_.size());
+  std::uint64_t& word = supported_bits_[entry / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (entry % 64);
+  if ((word & bit) != 0) return;
+  word |= bit;
+  ++supported_count_;
 }
 
 void IncrementalSelector::remove_supported(std::uint32_t entry) {
-  const std::uint32_t pos = supported_pos_[entry];
-  if (pos == 0) return;
-  const std::uint32_t last = supported_.back();
-  supported_[pos - 1] = last;
-  supported_pos_[last] = pos;
-  supported_.pop_back();
-  supported_pos_[entry] = 0;
+  std::uint64_t& word = supported_bits_[entry / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (entry % 64);
+  if ((word & bit) == 0) return;
+  word &= ~bit;
+  --supported_count_;
 }
 
 void IncrementalSelector::grow_entry_arrays(std::size_t count) {
@@ -69,10 +66,7 @@ void IncrementalSelector::grow_entry_arrays(std::size_t count) {
   real0_.resize(count, 0);
   missing_.resize(count, 0);
   dirty_.resize(count, 1);
-  supported_pos_.resize(count, 0);
-  touch_epoch_.resize(count, 0);
-  cand_epoch_.resize(count, 0);
-  cand_pos_.resize(count, 0);
+  supported_bits_.resize((count + 63) / 64, 0);
 }
 
 void IncrementalSelector::attach_entry(std::size_t index) {
@@ -93,15 +87,12 @@ void IncrementalSelector::attach_entry(std::size_t index) {
 void IncrementalSelector::full_rebuild() {
   const std::span<const HistoryEntry> entries = history_->entries();
   for (std::vector<std::uint32_t>& list : inverted_) list.clear();
-  supported_.clear();
   adj0_.clear();
   real0_.clear();
   missing_.clear();
   dirty_.clear();
-  supported_pos_.clear();
-  touch_epoch_.clear();
-  cand_epoch_.clear();
-  cand_pos_.clear();
+  supported_bits_.clear();
+  supported_count_ = 0;
   grow_entry_arrays(entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) attach_entry(i);
 }
@@ -111,9 +102,6 @@ void IncrementalSelector::sync(const DiskCache& cache) {
   for (FileId id : cache.resident_files()) {
     if (resident_.size() <= id) resident_.resize(id + 1, 0);
     resident_[id] = 1;
-  }
-  if (covered_run_.size() < catalog_->count()) {
-    covered_run_.resize(catalog_->count(), 0);
   }
   full_rebuild();
   history_->drain_journal();
@@ -191,26 +179,36 @@ void IncrementalSelector::ensure_scored(std::uint32_t entry,
   if (cost != nullptr) ++cost->entries_rescored;
 }
 
+void IncrementalSelector::mark_free(std::span<const FileId> free_files) {
+  if (file_epoch_.size() < catalog_->count()) {
+    file_epoch_.resize(catalog_->count(), 0);
+    file_slot_.resize(catalog_->count(), 0);
+  }
+  for (FileId id : free_files) {
+    file_epoch_[id] = epoch_;
+    file_slot_[id] = kFreeSlot;
+  }
+}
+
 void IncrementalSelector::collect_candidates(const Request& incoming,
-                                             const DiskCache& cache,
                                              SelectionCost* cost) {
-  (void)cache;
   cand_.clear();
   const std::span<const HistoryEntry> entries = history_->entries();
   const std::size_t exclude = history_->entry_index(incoming);
   const RequestHistoryConfig& config = history_->config();
 
   if (config.mode == HistoryMode::CacheResident) {
-    // The exact supported set, put back into history order (the order the
+    // The exact supported set, walked in history order (the order the
     // reference's full scan produces). All candidates are supported, so
     // the supported-first partition is a no-op.
-    if (cost != nullptr) cost->candidates_scanned += supported_.size();
-    cand_.assign(supported_.begin(), supported_.end());
-    std::sort(cand_.begin(), cand_.end());
-    if (exclude != SIZE_MAX) {
-      const auto it = std::lower_bound(
-          cand_.begin(), cand_.end(), static_cast<std::uint32_t>(exclude));
-      if (it != cand_.end() && *it == exclude) cand_.erase(it);
+    if (cost != nullptr) cost->candidates_scanned += supported_count_;
+    for (std::size_t w = 0; w < supported_bits_.size(); ++w) {
+      for (std::uint64_t bits = supported_bits_[w]; bits != 0;
+           bits &= bits - 1) {
+        const std::size_t e =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        if (e != exclude) cand_.push_back(static_cast<std::uint32_t>(e));
+      }
     }
     return;
   }
@@ -238,29 +236,37 @@ void IncrementalSelector::collect_candidates(const Request& incoming,
 }
 
 void IncrementalSelector::build_initial_sizes(SelectionCost* cost) {
-  // Entries whose bundle intersects the free set need a per-decision
-  // rescore that skips the free files (the reference's addition order);
-  // everyone else reuses the cached all-files sums.
-  for (FileId id : free_sorted_) {
-    if (id < inverted_.size()) {
-      for (std::uint32_t e : inverted_[id]) touch_epoch_[e] = epoch_;
-    }
-  }
+  // One pass over the candidate bundles gives each non-free file a local
+  // slot and counts its candidates; an entry whose bundle meets the free
+  // set needs a per-decision rescore that skips the free files (the
+  // reference's addition order), everyone else reuses the cached
+  // all-files sums.
   const std::span<const HistoryEntry> entries = history_->entries();
   const std::size_t k = cand_.size();
   values_.resize(k);
   adj_init_.resize(k);
   real_init_.resize(k);
+  csr_pos_.clear();
   for (std::size_t c = 0; c < k; ++c) {
     const std::uint32_t e = cand_[c];
-    cand_epoch_[e] = epoch_;
-    cand_pos_[e] = static_cast<std::uint32_t>(c);
+    bool touches_free = false;
+    for (FileId id : entries[e].request.files) {
+      if (file_epoch_[id] != epoch_) {
+        file_epoch_[id] = epoch_;
+        file_slot_[id] = static_cast<std::uint32_t>(csr_pos_.size());
+        csr_pos_.push_back(0);
+      } else if (file_slot_[id] == kFreeSlot) {
+        touches_free = true;
+        continue;
+      }
+      ++csr_pos_[file_slot_[id]];
+    }
     values_[c] = entries[e].value;
-    if (touch_epoch_[e] == epoch_) {
+    if (touches_free) {
       double adj = 0.0;
       Bytes real = 0;
       for (FileId id : entries[e].request.files) {
-        if (is_free(id)) continue;
+        if (file_slot_[id] == kFreeSlot) continue;
         adj += adjusted_size(id);
         real += catalog_->size_of(id);
       }
@@ -273,24 +279,61 @@ void IncrementalSelector::build_initial_sizes(SelectionCost* cost) {
       real_init_[c] = real0_[e];
     }
   }
-}
 
-void IncrementalSelector::finalize_files(SelectionResult& result) const {
-  const std::span<const HistoryEntry> entries = history_->entries();
-  std::vector<FileId> files;
-  for (std::size_t idx : result.chosen) {
-    for (FileId id : entries[cand_[idx]].request.files) {
-      if (!is_free(id)) files.push_back(id);
+  // Counts -> inclusive prefix ends, then a reverse fill leaves each
+  // slot's candidates in ascending order (the reference inverted index's
+  // order) with csr_pos_[slot] at its start.
+  std::uint32_t total = 0;
+  for (std::uint32_t& pos : csr_pos_) {
+    total += pos;
+    pos = total;
+  }
+  csr_pos_.push_back(total);
+  csr_items_.resize(total);
+  for (std::size_t c = k; c-- > 0;) {
+    for (FileId id : entries[cand_[c]].request.files) {
+      const std::uint32_t slot = file_slot_[id];
+      if (slot != kFreeSlot)
+        csr_items_[--csr_pos_[slot]] = static_cast<std::uint32_t>(c);
     }
   }
-  std::sort(files.begin(), files.end());
-  files.erase(std::unique(files.begin(), files.end()), files.end());
-  result.file_bytes = catalog_->bundle_bytes(files);
-  result.files = std::move(files);
+  if (covered_run_.size() < csr_pos_.size())
+    covered_run_.resize(csr_pos_.size(), 0);
+}
+
+void IncrementalSelector::begin_run() {
+  ++run_id_;
+  covered_.clear();
+}
+
+template <typename Fn>
+void IncrementalSelector::cover(std::size_t c, Fn&& fn) {
+  for (FileId id : history_->entries()[cand_[c]].request.files) {
+    const std::uint32_t slot = file_slot_[id];
+    if (slot == kFreeSlot || covered_run_[slot] == run_id_) continue;
+    covered_run_[slot] = run_id_;
+    covered_.push_back(id);
+    fn(id, slot);
+  }
+}
+
+void IncrementalSelector::take_covered_files(SelectionResult& result) {
+  // The run covered each kept file exactly once, so sorting them is the
+  // reference's sort-and-unique of the chosen bundles.
+  result.file_bytes = catalog_->bundle_bytes(covered_);
+  std::sort(covered_.begin(), covered_.end());
+  result.files.assign(covered_.begin(), covered_.end());
+}
+
+void IncrementalSelector::finalize_files(SelectionResult& result) {
+  begin_run();
+  for (std::size_t idx : result.chosen)
+    cover(idx, [](FileId, std::uint32_t) {});
+  take_covered_files(result);
 }
 
 void IncrementalSelector::apply_single_override(Bytes budget,
-                                                SelectionResult& result) const {
+                                                SelectionResult& result) {
   // Algorithm 1 step 3, with the stand-alone size taken from the initial
   // real sizes (integers: equal to the reference's fresh sum).
   double best_value = 0.0;
@@ -347,13 +390,12 @@ SelectionResult IncrementalSelector::run_basic(Bytes budget,
 SelectionResult IncrementalSelector::run_resort(
     Bytes budget, std::span<const std::size_t> seed, SelectionCost* cost) {
   const std::size_t k = cand_.size();
-  const std::span<const HistoryEntry> entries = history_->entries();
   adj_.assign(adj_init_.begin(), adj_init_.end());
   real_.assign(real_init_.begin(), real_init_.end());
   selected_.assign(k, 0);
   dead_.assign(k, 0);
   version_.assign(k, 0);
-  ++run_id_;
+  begin_run();
   std::uint64_t heap_ops = 0;
 
   auto cmp = [](const HeapEntry& a, const HeapEntry& b) {
@@ -391,22 +433,18 @@ SelectionResult IncrementalSelector::run_resort(
     remaining -= real_[c];
     result.chosen.push_back(c);
     result.total_value += values_[c];
-    for (FileId id : entries[cand_[c]].request.files) {
-      if (is_free(id) || covered_run_[id] == run_id_) continue;
-      covered_run_[id] = run_id_;
+    cover(c, [&](FileId id, std::uint32_t slot) {
       const double s_adj = adjusted_size(id);
       const Bytes s_real = catalog_->size_of(id);
-      if (id >= inverted_.size()) continue;
-      for (std::uint32_t e : inverted_[id]) {
-        if (cand_epoch_[e] != epoch_) continue;
-        const std::uint32_t j = cand_pos_[e];
+      for (std::uint32_t p = csr_pos_[slot]; p < csr_pos_[slot + 1]; ++p) {
+        const std::uint32_t j = csr_items_[p];
         if (j == c || selected_[j] != 0 || dead_[j] != 0) continue;
         adj_[j] -= s_adj;
         real_[j] -= s_real;
         ++version_[j];
         heap_push(HeapEntry{key_of(j), j, version_[j]});
       }
-    }
+    });
   };
 
   for (std::size_t idx : seed) {
@@ -436,7 +474,7 @@ SelectionResult IncrementalSelector::run_resort(
   }
   if (cost != nullptr) cost->heap_ops += heap_ops;
 
-  finalize_files(result);
+  take_covered_files(result);
   if (seed.empty()) apply_single_override(budget, result);
   return result;
 }
@@ -475,12 +513,8 @@ IncrementalSelector::Selection IncrementalSelector::select(
   }
   ++epoch_;
 
-  free_sorted_.assign(free_files.begin(), free_files.end());
-  std::sort(free_sorted_.begin(), free_sorted_.end());
-  free_sorted_.erase(std::unique(free_sorted_.begin(), free_sorted_.end()),
-                     free_sorted_.end());
-
-  collect_candidates(incoming, cache, cost);
+  mark_free(free_files);
+  collect_candidates(incoming, cost);
   build_initial_sizes(cost);
 
   Selection out;

@@ -23,12 +23,19 @@
 //     on_file_evicted / on_prefetched): a per-file resident bitmap and a
 //     per-entry missing-file count make "is this entry supported by the
 //     cache?" an O(1) lookup, and the CacheResident candidate set is
-//     maintained as an exact set instead of being re-derived by scanning.
+//     maintained as an exact entry bitset instead of being re-derived by
+//     scanning; walking its set bits yields the candidates in history
+//     order without a sort.
 //
-// Per decision the engine then pays O(|candidates|) to assemble the
-// selection (inherent: the greedy admits from all of them) but rescores
-// only entries that are dirty or whose bundles intersect the reserved
-// (free) file set, instead of all of them.
+// Per decision the engine then pays O(|free| + |L(R)|/64 + sum of the
+// candidate bundle sizes) to assemble the selection (inherent: the greedy
+// admits from all candidates) and rescores only entries that are dirty or
+// whose bundles intersect the reserved (free) file set. The free set is an
+// epoch-stamped FileId-indexed array (O(1) membership, no sort), and the
+// greedy's coverage updates walk a per-decision file -> candidate index
+// (CSR) built over the candidates only, never the whole-history inverted
+// lists. Each greedy run collects every newly covered file once, so the
+// only per-run sort is of the kept files themselves.
 //
 // Equivalence contract: select() returns byte-identical SelectionResults
 // to the reference path (same chosen indices, same files, bitwise-equal
@@ -128,20 +135,30 @@ class IncrementalSelector {
   /// Refreshes the cached (all-files) denominator of a dirty entry.
   void ensure_scored(std::uint32_t entry, SelectionCost* cost);
   [[nodiscard]] double adjusted_size(FileId id) const noexcept;
-  [[nodiscard]] bool is_free(FileId id) const noexcept;
 
   // -- per-decision selection (reference arithmetic replayed) -------------
-  void collect_candidates(const Request& incoming, const DiskCache& cache,
-                          SelectionCost* cost);
+  void mark_free(std::span<const FileId> free_files);
+  void collect_candidates(const Request& incoming, SelectionCost* cost);
+  /// Initial per-candidate sizes plus the candidate-only file index.
   void build_initial_sizes(SelectionCost* cost);
+  /// Starts a greedy run: fresh coverage stamps, empty covered-file list.
+  void begin_run();
+  /// Marks the non-free files of candidate `c` covered; returns the local
+  /// slot of each newly covered file through `fn`.
+  template <typename Fn>
+  void cover(std::size_t c, Fn&& fn);
+  /// Moves the sorted covered-file list into result.files/file_bytes.
+  void take_covered_files(SelectionResult& result);
   [[nodiscard]] SelectionResult run_basic(Bytes budget, SelectionCost* cost);
   [[nodiscard]] SelectionResult run_resort(Bytes budget,
                                            std::span<const std::size_t> seed,
                                            SelectionCost* cost);
   [[nodiscard]] SelectionResult run_seeded(Bytes budget, int k,
                                            SelectionCost* cost);
-  void finalize_files(SelectionResult& result) const;
-  void apply_single_override(Bytes budget, SelectionResult& result) const;
+  /// Collects the chosen bundles' files (run_basic and Algorithm 1 step 3;
+  /// run_resort collects them as it covers them).
+  void finalize_files(SelectionResult& result);
+  void apply_single_override(Bytes budget, SelectionResult& result);
 
   const FileCatalog* catalog_;
   RequestHistory* history_;
@@ -156,26 +173,32 @@ class IncrementalSelector {
   std::vector<std::vector<std::uint32_t>> inverted_;  ///< file -> entries
   std::vector<std::uint8_t> resident_;                ///< residency bitmap
 
-  // Exact supported-entry set (missing_ == 0), swap-remove semantics.
-  std::vector<std::uint32_t> supported_;
-  std::vector<std::uint32_t> supported_pos_;  ///< entry -> pos+1 (0 absent)
+  // Exact supported-entry set (missing_ == 0) as a bitset over entries.
+  std::vector<std::uint64_t> supported_bits_;
+  std::size_t supported_count_ = 0;
 
   bool synced_ = false;
 
-  // Per-decision scratch, epoch-stamped so it never needs clearing.
+  // Per-decision scratch, epoch-stamped so it never needs clearing. A file
+  // stamped with the current epoch is either free (slot kFreeSlot) or
+  // appears in some candidate's bundle and owns the local slot
+  // file_slot_[id]: its candidates are csr_items_[csr_pos_[slot] ..
+  // csr_pos_[slot + 1]), in ascending candidate order.
+  static constexpr std::uint32_t kFreeSlot = 0xffffffffU;
   std::uint64_t epoch_ = 0;
-  std::vector<std::uint64_t> touch_epoch_;  ///< entry intersects free set
-  std::vector<std::uint64_t> cand_epoch_;   ///< entry is a candidate
-  std::vector<std::uint32_t> cand_pos_;     ///< entry -> candidate index
-  std::vector<std::uint32_t> cand_;         ///< candidate -> entry index
-  std::vector<FileId> free_sorted_;
+  std::vector<std::uint64_t> file_epoch_;
+  std::vector<std::uint32_t> file_slot_;
+  std::vector<std::uint32_t> csr_pos_;
+  std::vector<std::uint32_t> csr_items_;
+  std::vector<std::uint32_t> cand_;  ///< candidate -> entry index
   std::vector<double> values_;     ///< candidate values (v(r))
   std::vector<double> adj_init_;   ///< candidate initial adjusted sizes
   std::vector<Bytes> real_init_;   ///< candidate initial real sizes
 
   // Per-greedy-run scratch (seeded variants run many greedy passes).
   std::uint64_t run_id_ = 0;
-  std::vector<std::uint64_t> covered_run_;  ///< file covered in current run
+  std::vector<std::uint64_t> covered_run_;  ///< slot covered in current run
+  std::vector<FileId> covered_;             ///< files covered this run
   std::vector<double> adj_;
   std::vector<Bytes> real_;
   std::vector<std::uint8_t> selected_;

@@ -53,13 +53,12 @@ std::vector<FileId> OptFileBundlePolicy::select_victims(const Request& request,
   // selection but their bytes shrink the budget.
   std::vector<FileId> reserved(request.files);
   Bytes pinned_bytes = 0;
-  for (FileId id : cache.resident_files()) {
-    if (cache.pinned(id) && !request.contains(id)) {
+  for (FileId id : cache.pinned_files()) {
+    if (!request.contains(id)) {
       reserved.push_back(id);
       pinned_bytes += catalog_->size_of(id);
     }
   }
-  std::sort(reserved.begin(), reserved.end());
 
   const Bytes bundle = catalog_->request_bytes(request);
   const Bytes reserved_bytes = bundle + pinned_bytes;
@@ -101,13 +100,16 @@ std::vector<FileId> OptFileBundlePolicy::select_victims(const Request& request,
   const SelectionResult& keep = last_selection_;
 
   // Step 3 (inverted): everything resident that is neither selected, nor
-  // part of the incoming bundle, nor pinned elsewhere is evicted.
-  // keep.files is sorted, so a binary search suffices.
+  // part of the incoming bundle, nor pinned elsewhere is evicted. Stamp the
+  // kept files, then walk the resident set once in its own order.
+  ++keep_epoch_;
+  if (keep_mark_.size() < catalog_->count())
+    keep_mark_.resize(catalog_->count(), 0);
+  for (FileId id : reserved) keep_mark_[id] = keep_epoch_;
+  for (FileId id : keep.files) keep_mark_[id] = keep_epoch_;
   std::vector<FileId> victims;
   for (FileId id : cache.resident_files()) {
-    if (std::binary_search(reserved.begin(), reserved.end(), id)) continue;
-    if (std::binary_search(keep.files.begin(), keep.files.end(), id)) continue;
-    victims.push_back(id);
+    if (keep_mark_[id] != keep_epoch_) victims.push_back(id);
   }
 
   // Step 3 verbatim loads F(Opt) \ F(C); under untruncated history the

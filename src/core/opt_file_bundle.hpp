@@ -61,7 +61,8 @@ struct OptFileBundleConfig {
 /// The paper's bundle-aware replacement policy (see file comment).
 class OptFileBundlePolicy : public ReplacementPolicy {
  public:
-  /// The catalog must outlive the policy.
+  /// The catalog must outlive the policy, and every cache passed to it
+  /// must be built over the same catalog (file ids index per-file arrays).
   explicit OptFileBundlePolicy(const FileCatalog& catalog,
                                OptFileBundleConfig config = {});
 
@@ -126,6 +127,10 @@ class OptFileBundlePolicy : public ReplacementPolicy {
   SelectionResult last_selection_;
   std::size_t last_candidates_ = 0;
   std::vector<FileId> pending_prefetch_;
+  // select_victims scratch: keep_mark_[id] == keep_epoch_ marks a file that
+  // stays (reserved or selected) in the current decision.
+  std::uint64_t keep_epoch_ = 0;
+  std::vector<std::uint64_t> keep_mark_;
 };
 
 }  // namespace fbc

@@ -116,10 +116,12 @@ std::size_t BundleServer::choose_locked() const {
 bool BundleServer::fits_locked(const Request& request) const {
   const Bytes missing = cache_.missing_bytes(request);
   if (missing <= cache_.free_bytes()) return true;
-  Bytes evictable = 0;
-  for (FileId id : cache_.resident_files()) {
-    if (!cache_.pinned(id) && !request.contains(id))
-      evictable += mss_->catalog().size_of(id);
+  // Everything resident is evictable except pinned files and the
+  // request's own resident files (which stay for the job).
+  Bytes evictable = cache_.used_bytes() - cache_.pinned_bytes();
+  for (FileId id : request.files) {
+    if (cache_.contains(id) && !cache_.pinned(id))
+      evictable -= mss_->catalog().size_of(id);
   }
   return missing <= cache_.free_bytes() + evictable;
 }
@@ -498,6 +500,24 @@ std::vector<std::string> BundleServer::audit() const {
         " != recomputed resident sum " + std::to_string(recount));
   if (cache_.used_bytes() > cache_.capacity())
     violations.push_back("serve.capacity: used exceeds capacity");
+
+  // Pins: the incrementally maintained pinned set and byte total must
+  // match a from-scratch recount over the resident files.
+  std::size_t pinned_count = 0;
+  Bytes pinned_recount = 0;
+  for (FileId id : cache_.resident_files()) {
+    if (!cache_.pinned(id)) continue;
+    ++pinned_count;
+    pinned_recount += catalog.size_of(id);
+  }
+  if (pinned_count != cache_.pinned_files().size() ||
+      pinned_recount != cache_.pinned_bytes())
+    violations.push_back(
+        "serve.capacity: pinned set (" +
+        std::to_string(cache_.pinned_files().size()) + " files, " +
+        std::to_string(cache_.pinned_bytes()) + " bytes) != recount (" +
+        std::to_string(pinned_count) + " files, " +
+        std::to_string(pinned_recount) + " bytes)");
 
   // Leases: every leased file must be resident and pinned; every pinned
   // file must be covered by at least one live lease. Shard locks nest

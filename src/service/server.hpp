@@ -242,10 +242,10 @@ class BundleServer : public ServingEndpoint {
     return spans_.snapshot();
   }
 
-  /// Independently re-checks the serving invariants (capacity accounting,
-  /// lease pinning, residency of leased bundles, counter consistency) and
-  /// returns human-readable violations -- empty when healthy. The checks
-  /// mirror testing::InvariantAuditor's classes.
+  /// Independently re-checks the serving invariants (capacity and pinned
+  /// byte accounting, lease pinning, residency of leased bundles, counter
+  /// consistency) and returns human-readable violations -- empty when
+  /// healthy. The checks mirror testing::InvariantAuditor's classes.
   [[nodiscard]] std::vector<std::string> audit() const;
 
   [[nodiscard]] const ServiceConfig& config() const noexcept {

@@ -38,6 +38,8 @@ void InvariantAuditor::audit_cache_state(const DiskCache& cache,
                                std::to_string(cache.capacity()));
   }
   Bytes recomputed = 0;
+  Bytes pinned_recomputed = 0;
+  std::size_t pinned_count = 0;
   std::unordered_set<FileId> seen;
   for (FileId id : cache.resident_files()) {
     if (!catalog_->valid(id)) {
@@ -54,12 +56,25 @@ void InvariantAuditor::audit_cache_state(const DiskCache& cache,
     if (cache.pinned(id)) {
       report("sim.pin", where + ": file " + std::to_string(id) +
                             " left pinned between jobs");
+      ++pinned_count;
+      pinned_recomputed += catalog_->size_of(id);
     }
   }
   if (recomputed != cache.used_bytes()) {
     report("sim.capacity",
            where + ": used_bytes " + std::to_string(cache.used_bytes()) +
                " != recomputed resident sum " + std::to_string(recomputed));
+  }
+  // The cache maintains its pinned set incrementally; tie it out against
+  // the per-file pin flags.
+  if (pinned_count != cache.pinned_files().size() ||
+      pinned_recomputed != cache.pinned_bytes()) {
+    report("sim.capacity",
+           where + ": pinned set (" +
+               std::to_string(cache.pinned_files().size()) + " files, " +
+               std::to_string(cache.pinned_bytes()) +
+               " bytes) != recount (" + std::to_string(pinned_count) +
+               " files, " + std::to_string(pinned_recomputed) + " bytes)");
   }
 }
 

@@ -10,6 +10,7 @@
 // Invariants audited after every job:
 //   * capacity: used_bytes() <= capacity() and used_bytes() equals the
 //     recomputed sum of resident file sizes; no duplicate resident ids;
+//     pinned_files()/pinned_bytes() match a recount of the pinned files;
 //   * pinning: no file is left pinned once a job completes;
 //   * residency: a serviced (non-unserviceable) job's whole bundle is
 //     resident when it completes;

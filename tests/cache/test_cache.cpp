@@ -94,6 +94,56 @@ TEST(DiskCache, PinIsCounted) {
   EXPECT_FALSE(cache.pinned(0));
 }
 
+TEST(DiskCache, PinRequiresResidentFile) {
+  FileCatalog catalog = small_catalog();
+  DiskCache cache(1000, catalog);
+  EXPECT_THROW(cache.pin(0), std::runtime_error);
+  EXPECT_THROW(cache.pin(99), std::runtime_error);  // past every table
+  EXPECT_FALSE(cache.pinned(0));
+  EXPECT_TRUE(cache.pinned_files().empty());
+  EXPECT_EQ(cache.pinned_bytes(), 0u);
+  // The failed pin left nothing behind: the file evicts normally.
+  cache.insert(0);
+  EXPECT_TRUE(cache.evict(0));
+}
+
+TEST(DiskCache, UnpinRequiresPinnedFile) {
+  FileCatalog catalog = small_catalog();
+  DiskCache cache(1000, catalog);
+  cache.insert(0);
+  EXPECT_THROW(cache.unpin(0), std::runtime_error);
+  EXPECT_THROW(cache.unpin(99), std::runtime_error);
+  cache.pin(0);
+  cache.unpin(0);
+  EXPECT_THROW(cache.unpin(0), std::runtime_error);
+  // No wrapped pin count: the file is unpinned and evictable.
+  EXPECT_FALSE(cache.pinned(0));
+  EXPECT_TRUE(cache.pinned_files().empty());
+  EXPECT_TRUE(cache.evict(0));
+}
+
+TEST(DiskCache, PinnedSetFollowsPinTransitions) {
+  FileCatalog catalog = small_catalog();
+  DiskCache cache(1500, catalog);
+  cache.insert(0);
+  cache.insert(1);
+  cache.insert(2);
+  cache.pin(1);
+  cache.pin(1);
+  cache.pin(2);
+  EXPECT_EQ(cache.pinned_files().size(), 2u);
+  EXPECT_EQ(cache.pinned_bytes(), 500u);
+  cache.unpin(1);  // still pinned once
+  EXPECT_EQ(cache.pinned_bytes(), 500u);
+  cache.unpin(2);
+  ASSERT_EQ(cache.pinned_files().size(), 1u);
+  EXPECT_EQ(cache.pinned_files()[0], 1u);
+  EXPECT_EQ(cache.pinned_bytes(), 200u);
+  cache.unpin(1);
+  EXPECT_TRUE(cache.pinned_files().empty());
+  EXPECT_EQ(cache.pinned_bytes(), 0u);
+}
+
 TEST(DiskCache, MissingFilesAndSupports) {
   FileCatalog catalog = small_catalog();
   DiskCache cache(1000, catalog);
@@ -132,8 +182,8 @@ TEST(DiskCache, ClearSparesPinned) {
   EXPECT_EQ(cache.used_bytes(), 200u);
 }
 
-// Randomized invariant sweep: arbitrary insert/evict sequences keep byte
-// accounting and the resident list consistent.
+// Randomized invariant sweep: arbitrary insert/evict/pin/unpin sequences
+// keep byte accounting, the resident list and the pinned set consistent.
 class DiskCacheProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DiskCacheProperty, RandomOpsPreserveInvariants) {
@@ -144,12 +194,19 @@ TEST_P(DiskCacheProperty, RandomOpsPreserveInvariants) {
 
   for (int step = 0; step < 2000; ++step) {
     const FileId id = static_cast<FileId>(rng.index(catalog.count()));
-    if (rng.bernoulli(0.5)) {
-      if (catalog.size_of(id) <= cache.free_bytes()) {
-        cache.insert(id);
-      }
-    } else {
-      cache.evict(id);
+    switch (rng.index(4)) {
+      case 0:
+        if (catalog.size_of(id) <= cache.free_bytes()) cache.insert(id);
+        break;
+      case 1:
+        if (!cache.pinned(id)) cache.evict(id);
+        break;
+      case 2:
+        if (cache.contains(id)) cache.pin(id);
+        break;
+      default:
+        if (cache.pinned(id)) cache.unpin(id);
+        break;
     }
     // Invariant: used == sum of resident sizes, count matches view size.
     Bytes expected = 0;
@@ -159,6 +216,17 @@ TEST_P(DiskCacheProperty, RandomOpsPreserveInvariants) {
     ASSERT_LE(cache.used_bytes(), cache.capacity());
     // Membership view agrees with contains().
     for (FileId f : cache.resident_files()) ASSERT_TRUE(cache.contains(f));
+    // The pinned set is exactly the resident files with a pin.
+    std::size_t pinned = 0;
+    Bytes pinned_bytes = 0;
+    for (FileId f : cache.resident_files()) {
+      if (!cache.pinned(f)) continue;
+      ++pinned;
+      pinned_bytes += catalog.size_of(f);
+    }
+    ASSERT_EQ(cache.pinned_files().size(), pinned);
+    ASSERT_EQ(cache.pinned_bytes(), pinned_bytes);
+    for (FileId f : cache.pinned_files()) ASSERT_TRUE(cache.pinned(f));
   }
 }
 

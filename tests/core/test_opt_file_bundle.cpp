@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <deque>
+
 #include "cache/simulator.hpp"
+#include "util/rng.hpp"
 #include "workload/workload.hpp"
 
 namespace fbc {
@@ -176,6 +181,116 @@ TEST(OptFileBundle, LastCandidateCountTracksDecisions) {
   // The last decision (admitting {2}) saw the cache-resident candidates.
   EXPECT_LE(policy.last_candidate_count(), 2u);
 }
+
+// The reserved set, the budget and the victim derivation are shared by both
+// engines, so the engine-diff oracle cannot see a bug there. Drive the
+// policy by hand with the bundles of other in-flight jobs pinned on the
+// cache, and check every decision against a from-scratch derivation:
+// selection = OptCacheSelect over the history candidates with budget
+// capacity - bundle - foreign pinned bytes and the request plus foreign
+// pins free; victims = resident - request - foreign pins - kept files, in
+// resident order.
+class OptFileBundleForeignPins
+    : public ::testing::TestWithParam<SelectEngine> {};
+
+TEST_P(OptFileBundleForeignPins, VictimsAndBudgetMatchNaiveDerivation) {
+  Rng rng(31);
+  FileCatalog catalog;
+  for (int i = 0; i < 40; ++i) catalog.add_file(rng.uniform_u64(50, 400));
+  std::vector<Request> pool;
+  for (int i = 0; i < 30; ++i) {
+    std::vector<FileId> files;
+    const std::size_t n = 1 + rng.index(4);
+    for (std::size_t j = 0; j < n; ++j)
+      files.push_back(static_cast<FileId>(rng.index(catalog.count())));
+    pool.emplace_back(std::move(files));
+  }
+
+  OptFileBundleConfig config;
+  config.engine = GetParam();
+  OptFileBundlePolicy policy(catalog, config);
+  DiskCache cache(2500, catalog);
+  std::deque<Request> in_flight;  // bundles pinned by running jobs
+  std::size_t pinned_decisions = 0;
+
+  for (int step = 0; step < 600; ++step) {
+    const Request& request = pool[rng.index(pool.size())];
+    policy.on_job_arrival(request, cache);
+    const std::vector<FileId> missing = cache.missing_files(request);
+    const Bytes missing_bytes = catalog.bundle_bytes(missing);
+    if (missing_bytes > cache.free_bytes()) {
+      std::vector<FileId> foreign;
+      Bytes foreign_bytes = 0;
+      for (FileId id : cache.resident_files()) {
+        if (cache.pinned(id) && !request.contains(id)) {
+          foreign.push_back(id);
+          foreign_bytes += catalog.size_of(id);
+        }
+      }
+      if (foreign_bytes > 0) ++pinned_decisions;
+      const Bytes reserved = catalog.request_bytes(request) + foreign_bytes;
+      const Bytes budget =
+          reserved < cache.capacity() ? cache.capacity() - reserved : 0;
+      std::vector<FileId> free_files(request.files);
+      free_files.insert(free_files.end(), foreign.begin(), foreign.end());
+      std::vector<SelectionItem> items;
+      for (const HistoryEntry* entry :
+           policy.history().candidates(cache, &request)) {
+        items.push_back(SelectionItem{&entry->request, entry->value});
+      }
+      const SelectionResult expected =
+          OptCacheSelect(catalog, policy.history().degrees())
+              .select(items, budget, SelectVariant::Resort, free_files);
+
+      const std::vector<FileId> victims = policy.select_victims(
+          request, missing_bytes - cache.free_bytes(), cache);
+      const SelectionResult& keep = policy.last_selection();
+      ASSERT_EQ(keep.chosen, expected.chosen) << "step " << step;
+      ASSERT_EQ(keep.files, expected.files) << "step " << step;
+      ASSERT_EQ(keep.file_bytes, expected.file_bytes) << "step " << step;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(keep.total_value),
+                std::bit_cast<std::uint64_t>(expected.total_value))
+          << "step " << step;
+      ASSERT_LE(keep.file_bytes, budget) << "step " << step;
+
+      std::vector<FileId> naive;
+      for (FileId id : cache.resident_files()) {
+        if (request.contains(id)) continue;
+        if (std::find(foreign.begin(), foreign.end(), id) != foreign.end())
+          continue;
+        if (std::binary_search(keep.files.begin(), keep.files.end(), id))
+          continue;
+        naive.push_back(id);
+      }
+      ASSERT_EQ(victims, naive) << "step " << step;
+      for (FileId victim : victims) {
+        cache.evict(victim);
+        policy.on_file_evicted(victim);
+      }
+    }
+    // Jobs whose bundle cannot fit around the foreign pins are skipped.
+    if (missing_bytes <= cache.free_bytes()) {
+      for (FileId id : missing) cache.insert(id);
+      policy.on_files_loaded(request, missing, cache);
+      for (FileId id : request.files) cache.pin(id);
+      in_flight.push_back(request);
+    }
+    // Release finished jobs, keeping up to three in flight.
+    while (in_flight.size() > 3 ||
+           (!in_flight.empty() && rng.bernoulli(0.3))) {
+      for (FileId id : in_flight.front().files) cache.unpin(id);
+      in_flight.pop_front();
+    }
+  }
+  EXPECT_GT(pinned_decisions, 50u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, OptFileBundleForeignPins,
+    ::testing::Values(SelectEngine::Reference, SelectEngine::Incremental),
+    [](const ::testing::TestParamInfo<SelectEngine>& engine) {
+      return to_string(engine.param);
+    });
 
 // Property: on random workloads, the policy always satisfies the simulator
 // contract (no pinned/requested evictions, capacity respected) across all
