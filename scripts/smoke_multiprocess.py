@@ -12,7 +12,13 @@ daemon is SIGKILLed mid-run. The run passes only if
   * fbcgrid itself shuts down clean (exit 0: audits pass, the killed
     child is tolerated, the surviving children exit 0).
 
+With --placement=hash --time-scale=1e-3 most jobs scatter over several
+shards and every miss stages for milliseconds, so the kill lands while
+scattered parts are reserved but still staging (the shard dies between
+Reserved and Granted).
+
 Usage: smoke_multiprocess.py [--build=build] [--requests=2000]
+                             [--placement=affinity|hash] [--time-scale=0]
 """
 
 import argparse
@@ -91,6 +97,11 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--build", default="build")
     parser.add_argument("--requests", type=int, default=2000)
+    parser.add_argument("--placement", default="affinity",
+                        choices=["affinity", "hash"])
+    parser.add_argument("--time-scale", default="0",
+                        help="fbcgrid --time-scale: wall seconds slept per "
+                             "simulated staging second")
     args = parser.parse_args()
     build = args.build
 
@@ -102,7 +113,8 @@ def main():
             "--port=0",
             f"--scenario={SCENARIO}",
             f"--cache={CACHE}",
-            "--time-scale=0",
+            f"--placement={args.placement}",
+            f"--time-scale={args.time_scale}",
             "--workers=8",
         ],
         stdout=subprocess.PIPE,

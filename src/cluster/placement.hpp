@@ -34,7 +34,7 @@ struct SubRequest {
 
 /// How a bundle lands on the cluster: one part (single-shard fast path)
 /// or several (scatter/gather with cross-shard lease conjunction). Parts
-/// are in strictly increasing shard order -- the router acquires in that
+/// are in strictly increasing shard order -- the router reserves in that
 /// order so concurrent split bundles cannot deadlock or livelock.
 struct PlacementPlan {
   std::vector<SubRequest> parts;

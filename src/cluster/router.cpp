@@ -9,6 +9,18 @@
 
 namespace fbc::cluster {
 
+namespace {
+
+/// Elapsed microseconds between two steady_clock instants.
+std::uint64_t us_between(std::chrono::steady_clock::time_point from,
+                         std::chrono::steady_clock::time_point to) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(to - from)
+          .count());
+}
+
+}  // namespace
+
 ClusterRouter::ClusterRouter(const ClusterConfig& config,
                              const FileCatalog& catalog, Bytes shard_capacity,
                              std::vector<std::unique_ptr<Shard>> shards)
@@ -144,6 +156,27 @@ service::AcquireResult ClusterRouter::shard_acquire(std::uint32_t shard,
   return result;
 }
 
+service::Reservation ClusterRouter::shard_reserve(std::uint32_t shard,
+                                                  const Request& request) {
+  service::Reservation reservation;
+  try {
+    reservation = shards_[shard]->reserve(request);
+  } catch (const service::NetError&) {
+    throw ShardUnreachable{shard};
+  }
+  record_success(shard);
+  return reservation;
+}
+
+service::AcquireResult ClusterRouter::shard_finish(
+    std::uint32_t shard, service::Reservation& reservation) {
+  try {
+    return service::finish(reservation);
+  } catch (const service::NetError&) {
+    throw ShardUnreachable{shard};
+  }
+}
+
 service::AcquireResult ClusterRouter::acquire(const Request& request) {
   if (closed_.load(std::memory_order_acquire))
     return {service::AcquireStatus::Closed, 0, false, 0, 0};
@@ -196,63 +229,109 @@ service::AcquireResult ClusterRouter::acquire_single(const SubRequest& part) {
 
 service::AcquireResult ClusterRouter::acquire_scatter(
     const PlacementPlan& plan) {
-  // The cluster grant is the conjunction of per-shard grants. Sub-acquires
-  // run in increasing shard order (plan.parts is sorted), so two split
-  // bundles contending for the same shards serialize instead of
-  // deadlocking on each other's partial grants.
-  std::vector<std::pair<std::uint32_t, LeaseId>> granted;
-  granted.reserve(plan.parts.size());
+  // The cluster grant is the conjunction of per-shard grants, won in two
+  // rounds. Reserve: part k+1 is asked only once part k is reserved, in
+  // increasing shard order (plan.parts is sorted), so two split bundles
+  // contending for the same shards serialize their reservations instead
+  // of deadlocking on each other's partial pins. Finish: only then is
+  // each part's grant awaited. Every part's fetch is in flight from its
+  // reservation on, so the scatter waits for its slowest part, not for
+  // the sum of them.
+  const Clock::time_point t_plan = Clock::now();
+  enum class State { Reserved, Granted, Gone };
+  struct Part {
+    std::uint32_t shard;
+    service::Reservation reservation;
+    State state = State::Reserved;
+  };
+  std::vector<Part> parts;
+  parts.reserve(plan.parts.size());
   auto rollback = [&]() noexcept {
-    // Newest grant first; a shard that died mid-rollback gets its
-    // release deferred so the pin is reclaimed on recovery.
-    for (auto it = granted.rbegin(); it != granted.rend(); ++it) {
+    // Newest part first. A part still staging is finished before it is
+    // released, so no lease is released while its fetch is in flight. A
+    // shard that dies mid-finish took the lease with its connection (its
+    // daemon reclaims it); one that dies mid-release gets the release
+    // deferred, so the pin is reclaimed on recovery.
+    for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
+      if (it->state == State::Gone) continue;
       try {
-        shards_[it->first]->release(it->second);
+        if (it->state == State::Reserved) (void)service::finish(it->reservation);
+      } catch (...) {
+        continue;
+      }
+      try {
+        shards_[it->shard]->release(it->reservation.result.lease);
       } catch (const service::NetError&) {
-        defer_release(it->first, it->second);
+        defer_release(it->shard, it->reservation.result.lease);
       } catch (...) {
       }
     }
     bump("grid.acquire.rollback");
   };
+  // The client sees a refusing shard's verdict with no residual pins
+  // anywhere.
+  auto refused = [&](service::AcquireResult result) {
+    rollback();
+    result.lease = 0;
+    result.request_hit = false;
+    return result;
+  };
+
+  for (const SubRequest& part : plan.parts) {
+    service::Reservation reservation;
+    try {
+      reservation = shard_reserve(part.shard, part.request);
+    } catch (...) {
+      rollback();
+      throw;  // a ShardUnreachable makes acquire() re-plan around it
+    }
+    if (reservation.result.status != service::AcquireStatus::Ok)
+      return refused(reservation.result);
+    parts.push_back({part.shard, std::move(reservation)});
+  }
+  const Clock::time_point t_reserved = Clock::now();
 
   service::AcquireResult gathered;
   gathered.status = service::AcquireStatus::Ok;
   gathered.request_hit = true;
-  for (const SubRequest& part : plan.parts) {
-    service::AcquireResult result;
+  for (Part& part : parts) {
+    service::AcquireResult granted;
     try {
-      result = shard_acquire(part.shard, part.request);
-    } catch (const ShardUnreachable&) {
-      rollback();
-      throw;  // acquire() re-plans around the dead shard
+      granted = shard_finish(part.shard, part.reservation);
     } catch (...) {
+      part.state = State::Gone;
       rollback();
-      throw;
+      throw;  // a ShardUnreachable makes acquire() re-plan around it
     }
-    if (result.status != service::AcquireStatus::Ok) {
-      rollback();
-      // The client sees the failing shard's verdict with no residual
-      // pins anywhere.
-      result.lease = 0;
-      result.request_hit = false;
-      return result;
+    if (granted.status != service::AcquireStatus::Ok) {
+      part.state = State::Gone;
+      return refused(granted);
     }
-    granted.emplace_back(part.shard, result.lease);
+    part.state = State::Granted;
     // The cluster-level request is a hit only if every slice was.
-    gathered.request_hit = gathered.request_hit && result.request_hit;
-    gathered.retries += result.retries;
+    gathered.request_hit = gathered.request_hit && granted.request_hit;
+    gathered.retries += granted.retries;
   }
+  const Clock::time_point t_granted = Clock::now();
 
+  std::vector<std::pair<std::uint32_t, LeaseId>> leases;
+  leases.reserve(parts.size());
+  for (const Part& part : parts)
+    leases.emplace_back(part.shard, part.reservation.result.lease);
   {
     std::lock_guard<OrderedMutex> lock(route_mu_);
     LeaseId id = next_scatter_id_++;
     if ((id & ~kPayloadMask) != 0)
       throw std::runtime_error("ClusterRouter: scatter lease ids exhausted");
-    scatter_.emplace(id, std::move(granted));
+    scatter_.emplace(id, std::move(leases));
     gathered.lease = id;  // top byte 0 == scatter tag
   }
-  bump("grid.acquire.scatter");
+  {
+    std::lock_guard<OrderedMutex> lock(grid_obs_mu_);
+    grid_counters_.add("grid.acquire.scatter");
+    scatter_reserve_us_.record(us_between(t_plan, t_reserved));
+    scatter_grant_us_.record(us_between(t_reserved, t_granted));
+  }
   return gathered;
 }
 
@@ -364,16 +443,17 @@ service::MetricsSnapshot ClusterRouter::metrics() const {
   }
   if (skipped != 0) bump("grid.stats.partial");
   service::MetricsSnapshot merged = merge_metrics(per_shard);
-  // Fold the router's own counters in, keeping the name list sorted.
-  obs::CounterRegistry all;
-  for (const obs::CounterSample& c : merged.counters) all.add(c.first, c.second);
+  // Fold the router's own counters and histograms in the same way, so
+  // the merge keeps every name list sorted.
+  service::MetricsSnapshot own;
   {
     std::lock_guard<OrderedMutex> lock(grid_obs_mu_);
-    for (const obs::CounterSample& c : grid_counters_.snapshot())
-      all.add(c.first, c.second);
+    own.counters = grid_counters_.snapshot();
+    own.histograms.push_back({"grid.scatter.grant_us", scatter_grant_us_});
+    own.histograms.push_back({"grid.scatter.reserve_us", scatter_reserve_us_});
   }
-  merged.counters = all.snapshot();
-  return merged;
+  const service::MetricsSnapshot parts[] = {std::move(merged), std::move(own)};
+  return merge_metrics(parts);
 }
 
 void ClusterRouter::close() {

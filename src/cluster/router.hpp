@@ -5,13 +5,18 @@
 //      shards currently marked down (degraded placement -- see below).
 //   2. Single part  -> forward to its shard; the shard lease comes back
 //      tagged with the shard index in the top byte (lock-free fast path).
-//   3. Several parts -> scatter: acquire on each shard in increasing
-//      shard order. The cluster grant is the *conjunction* of per-shard
-//      grants -- if any shard refuses (QueueFull, Timeout, ...), every
-//      sub-lease already granted is rolled back (released) and the
-//      client sees the failing shard's status with no residual pins.
-//      Gathered grants are recorded in a scatter-lease map under
-//      route_mu_ and released shard-by-shard on release().
+//   3. Several parts -> scatter, in two rounds. Reserve: each part is
+//      reserved (pinned and leased, fetch in flight) in increasing shard
+//      order, part k+1 only once part k is reserved -- the order that
+//      keeps two contending scatters from deadlocking. Finish: then every
+//      part's grant is awaited, so the parts stage in parallel and the
+//      scatter waits for its slowest part. The cluster grant is the
+//      *conjunction* of per-shard grants -- if any shard refuses
+//      (QueueFull, Timeout, ...), every part already reserved is rolled
+//      back (finished, then released) and the client sees the failing
+//      shard's status with no residual pins. Gathered grants are
+//      recorded in a scatter-lease map under route_mu_ and released
+//      shard-by-shard on release().
 //
 // Shard health: a shard whose call throws NetError `down_threshold`
 // consecutive times is marked down. Down shards are planned around --
@@ -22,7 +27,9 @@
 // let through to the dead shard as an opportunistic recovery probe (its
 // failure is invisible: the router just reroutes again); the first
 // successful call marks the shard up and flushes releases deferred while
-// it was gone. probe() forces such a probe explicitly.
+// it was gone. probe() forces such a probe explicitly. A shard that dies
+// between a part's reservation and its grant is handled the same way:
+// the other parts roll back and the bundle is re-planned.
 //
 // Releases that cannot reach their shard are *deferred*, not dropped:
 // the lease id is parked under route_mu_ and replayed when the shard
@@ -55,6 +62,7 @@
 #include "cluster/placement.hpp"
 #include "cluster/shard.hpp"
 #include "obs/counter.hpp"
+#include "obs/histogram.hpp"
 #include "service/endpoint.hpp"
 #include "util/ordered_mutex.hpp"
 
@@ -85,8 +93,11 @@ class ClusterRouter final : public service::ServingEndpoint {
   /// under grid.stats.partial instead of failing the whole snapshot.
   [[nodiscard]] service::ServiceStats stats() const override;
 
-  /// Merged per-shard snapshots plus the router's own grid.* counters.
-  /// Dead shards are skipped, same as stats().
+  /// Merged per-shard snapshots plus the router's own grid.* counters
+  /// and its scatter histograms (grid.scatter.reserve_us: plan until
+  /// every part is reserved; grid.scatter.grant_us: from then until every
+  /// part is granted -- one observation per grid.acquire.scatter). Dead
+  /// shards are skipped, same as stats().
   [[nodiscard]] service::MetricsSnapshot metrics() const override;
 
   [[nodiscard]] service::EndpointInfo info() const override {
@@ -153,6 +164,16 @@ class ClusterRouter final : public service::ServingEndpoint {
   service::AcquireResult shard_acquire(std::uint32_t shard,
                                        const Request& request);
 
+  /// shard_acquire's split twin: the reserve round trip, with the same
+  /// health accounting.
+  service::Reservation shard_reserve(std::uint32_t shard,
+                                     const Request& request);
+
+  /// Waits for a reserved part's grant; NetError (the shard died between
+  /// Reserved and Granted) becomes ShardUnreachable.
+  service::AcquireResult shard_finish(std::uint32_t shard,
+                                      service::Reservation& reservation);
+
   /// Delivers one sub-release, deferring it if the shard is down or the
   /// call dies with NetError. Returns true when delivered; `*ok`
   /// receives the shard's verdict (valid only when delivered).
@@ -211,11 +232,13 @@ class ClusterRouter final : public service::ServingEndpoint {
   // Router-level counters (job-level view, vs the shards' sub-request
   // view): grid.acquire.single / .scatter / .rollback / .rerouted,
   // grid.release.unknown / .partial / .deferred, grid.shard.down /
-  // .recovered, grid.stats.partial.
+  // .recovered, grid.stats.partial; and the two scatter histograms.
   // fbc:lock-level(6)
-  // fbc:guards(grid_counters_)
+  // fbc:guards(grid_counters_, scatter_reserve_us_, scatter_grant_us_)
   mutable OrderedMutex grid_obs_mu_{6, "ClusterRouter::grid_obs_mu_"};
   mutable obs::CounterRegistry grid_counters_;
+  obs::Histogram scatter_reserve_us_;  ///< plan -> every part reserved
+  obs::Histogram scatter_grant_us_;    ///< then -> every part granted
 };
 
 }  // namespace fbc::cluster

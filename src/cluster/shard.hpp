@@ -6,6 +6,12 @@
 // port/host (the socket-backed deployment). The router never knows which
 // it has, so the placement/lease logic is transport-agnostic and the
 // fuzz harness can drive it entirely in-process.
+//
+// Besides the one-call acquire(), every shard offers the split acquire
+// of service/endpoint.hpp: reserve() returns once the sub-bundle is
+// pinned, and finish() on the returned Reservation waits for the grant.
+// The router's scatter reserves every part first, in shard order, and
+// only then finishes them, so the parts' fetches overlap.
 #pragma once
 
 #include <atomic>
@@ -23,12 +29,15 @@ namespace fbc::cluster {
 using service::LeaseId;
 
 /// One BundleServer as seen by the router. Thread-safe: the router calls
-/// acquire/release from many daemon workers concurrently.
+/// acquire/reserve/release from many daemon workers concurrently.
 class Shard {
  public:
   virtual ~Shard() = default;
 
   virtual service::AcquireResult acquire(const Request& request) = 0;
+  /// Split acquire (see ServingEndpoint::reserve): returns once the
+  /// request is reserved or refused. `request` must outlive the finish.
+  virtual service::Reservation reserve(const Request& request) = 0;
   virtual bool release(LeaseId lease) = 0;
   [[nodiscard]] virtual service::ServiceStats stats() const = 0;
   [[nodiscard]] virtual service::MetricsSnapshot metrics() const = 0;
@@ -49,6 +58,9 @@ class LocalShard final : public Shard {
   service::AcquireResult acquire(const Request& request) override {
     return server_->acquire(request);
   }
+  service::Reservation reserve(const Request& request) override {
+    return server_->reserve(request);
+  }
   bool release(LeaseId lease) override { return server_->release(lease); }
   [[nodiscard]] service::ServiceStats stats() const override {
     return server_->stats();
@@ -68,7 +80,10 @@ class LocalShard final : public Shard {
 /// Socket-backed shard: a checkout pool of BundleClient connections to a
 /// shard daemon on 127.0.0.1:`port`. Each call checks a connection out,
 /// runs the round trip outside the pool lock, and returns it; broken
-/// connections are dropped (the daemon reclaims their leases).
+/// connections are dropped (the daemon reclaims their leases). reserve()
+/// sends a ReserveRequest and keeps its connection checked out until the
+/// reservation is finished (the grant is the same connection's second
+/// reply).
 class RemoteShard final : public Shard {
  public:
   /// `pool_cap` bounds the idle pool (ClusterConfig::remote_pool_cap):
@@ -78,6 +93,7 @@ class RemoteShard final : public Shard {
       : port_(port), legacy_wire_(legacy_wire), pool_cap_(pool_cap) {}
 
   service::AcquireResult acquire(const Request& request) override;
+  service::Reservation reserve(const Request& request) override;
   bool release(LeaseId lease) override;
   [[nodiscard]] service::ServiceStats stats() const override;
   [[nodiscard]] service::MetricsSnapshot metrics() const override;
@@ -95,6 +111,9 @@ class RemoteShard final : public Shard {
 
  private:
   using ClientPtr = std::unique_ptr<service::BundleClient>;
+
+  /// A reserved sub-bundle: holds the connection that carries its grant.
+  class Grant;
 
   /// Pops an idle connection or dials a new one. Never holds remote_mu_
   /// across the connect. (const: stats()/metrics() check out too.)
@@ -121,6 +140,13 @@ class RemoteShard final : public Shard {
 /// the router. cluster_sim's kill/revive waves, the failover tests, and
 /// the bench fault leg all inject failures through this instead of
 /// tearing down real processes.
+///
+/// A split acquire can fail in either phase: reserve() like any call,
+/// and finish() when the shard is killed -- or fail_on_finish() is set --
+/// by the time the grant is due: the daemon died between Reserved and
+/// Granted. The inner reservation is then finished and its lease
+/// released, as a real daemon reclaims the leases of a dead connection,
+/// before finish() throws NetError.
 class FaultInjectionShard final : public Shard {
  public:
   explicit FaultInjectionShard(std::unique_ptr<Shard> inner)
@@ -133,10 +159,17 @@ class FaultInjectionShard final : public Shard {
     return killed_.load(std::memory_order_acquire);
   }
 
+  /// While on, every finish of a reservation throws NetError (see class
+  /// comment); other calls are unaffected.
+  void fail_on_finish(bool on) noexcept {
+    fail_finish_.store(on, std::memory_order_release);
+  }
+
   service::AcquireResult acquire(const Request& request) override {
     check();
     return inner_->acquire(request);
   }
+  service::Reservation reserve(const Request& request) override;
   bool release(LeaseId lease) override {
     check();
     return inner_->release(lease);
@@ -157,6 +190,9 @@ class FaultInjectionShard final : public Shard {
   [[nodiscard]] Shard& inner() noexcept { return *inner_; }
 
  private:
+  /// Wraps the inner reservation's fetch phase with the finish fault.
+  class Grant;
+
   void check() const {
     if (killed())
       throw service::NetError("injected fault: shard daemon is down");
@@ -164,6 +200,7 @@ class FaultInjectionShard final : public Shard {
 
   std::unique_ptr<Shard> inner_;
   std::atomic<bool> killed_{false};
+  std::atomic<bool> fail_finish_{false};
 };
 
 }  // namespace fbc::cluster

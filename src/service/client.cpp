@@ -1,5 +1,8 @@
 #include "service/client.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace fbc::service {
 
 BundleClient::BundleClient(std::uint16_t port, bool legacy_wire)
@@ -15,22 +18,26 @@ std::optional<Message> BundleClient::read_reply() {
   return legacy_wire_ ? recv_message(fd_.get()) : reader_.next(fd_.get());
 }
 
-Message BundleClient::round_trip(const Message& request) {
+void BundleClient::send(const Message& request) {
   if (!fd_.valid()) throw NetError("client is disconnected");
   if (!send_message(fd_.get(), request))
     throw NetError("daemon closed the connection");
+}
+
+Message BundleClient::round_trip(const Message& request) {
+  send(request);
   std::optional<Message> reply = read_reply();
   if (!reply.has_value()) throw NetError("daemon closed the connection");
   return std::move(*reply);
 }
 
-AcquireResult BundleClient::acquire(const std::vector<FileId>& files) {
-  const std::uint64_t cookie = next_cookie_++;
-  const Message reply = round_trip(AcquireRequestMsg{cookie, files});
-  const auto* msg = std::get_if<AcquireReplyMsg>(&reply);
+AcquireResult BundleClient::read_acquire_reply(std::uint64_t cookie) {
+  std::optional<Message> reply = read_reply();
+  if (!reply.has_value()) throw NetError("daemon closed the connection");
+  const auto* msg = std::get_if<AcquireReplyMsg>(&*reply);
   if (msg == nullptr)
     throw ProtocolError(std::string("expected AcquireReply, got ") +
-                        to_string(message_type(reply)));
+                        to_string(message_type(*reply)));
   if (msg->cookie != cookie)
     throw ProtocolError("acquire reply cookie mismatch");
   AcquireResult result;
@@ -40,6 +47,29 @@ AcquireResult BundleClient::acquire(const std::vector<FileId>& files) {
   result.retry_after_ms = msg->retry_after_ms;
   result.retries = msg->retries;
   return result;
+}
+
+AcquireResult BundleClient::acquire(const std::vector<FileId>& files) {
+  const std::uint64_t cookie = next_cookie_++;
+  send(AcquireRequestMsg{cookie, files});
+  return read_acquire_reply(cookie);
+}
+
+AcquireResult BundleClient::reserve(const std::vector<FileId>& files) {
+  const std::uint64_t cookie = next_cookie_++;
+  send(ReserveRequestMsg{cookie, files});
+  const AcquireResult reserved = read_acquire_reply(cookie);
+  if (reserved.status == AcquireStatus::Ok) reserve_cookie_ = cookie;
+  return reserved;
+}
+
+AcquireResult BundleClient::await_grant() {
+  if (!fd_.valid()) throw NetError("client is disconnected");
+  if (reserve_cookie_ == 0)
+    throw std::logic_error("BundleClient: await_grant without a reservation");
+  const std::uint64_t cookie = reserve_cookie_;
+  reserve_cookie_ = 0;
+  return read_acquire_reply(cookie);
 }
 
 AcquireResult BundleClient::release_acquire(LeaseId lease,
@@ -63,22 +93,7 @@ AcquireResult BundleClient::release_acquire(LeaseId lease,
     throw ProtocolError(std::string("expected ReleaseReply, got ") +
                         to_string(message_type(*release_reply)));
   if (released != nullptr) *released = rel->ok != 0;
-  std::optional<Message> acquire_reply = read_reply();
-  if (!acquire_reply.has_value())
-    throw NetError("daemon closed the connection");
-  const auto* acq = std::get_if<AcquireReplyMsg>(&*acquire_reply);
-  if (acq == nullptr)
-    throw ProtocolError(std::string("expected AcquireReply, got ") +
-                        to_string(message_type(*acquire_reply)));
-  if (acq->cookie != cookie)
-    throw ProtocolError("acquire reply cookie mismatch");
-  AcquireResult result;
-  result.status = acq->status;
-  result.lease = acq->lease;
-  result.request_hit = acq->request_hit != 0;
-  result.retry_after_ms = acq->retry_after_ms;
-  result.retries = acq->retries;
-  return result;
+  return read_acquire_reply(cookie);
 }
 
 bool BundleClient::release(LeaseId lease) {

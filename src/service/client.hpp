@@ -28,6 +28,17 @@ class BundleClient {
   /// Throws NetError/ProtocolError if the connection breaks.
   [[nodiscard]] AcquireResult acquire(const std::vector<FileId>& files);
 
+  /// Phase one of a two-phase acquire: sends a ReserveRequest and returns
+  /// the first reply -- Ok once the daemon has reserved the bundle (the
+  /// lease is live and held by this connection), or the final refusal.
+  /// After an Ok, await_grant() must read the grant before this
+  /// connection carries any other request.
+  [[nodiscard]] AcquireResult reserve(const std::vector<FileId>& files);
+
+  /// Phase two: blocks until the daemon sends the second reply of the
+  /// last Ok reserve() -- the grant, once the bundle is staged.
+  [[nodiscard]] AcquireResult await_grant();
+
   /// Releases a lease. Returns false for ids the server does not know.
   bool release(LeaseId lease);
 
@@ -68,11 +79,17 @@ class BundleClient {
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
  private:
+  /// Writes one request frame; throws NetError once disconnected.
+  void send(const Message& request);
+
   /// Sends `request` and reads the single reply frame.
   Message round_trip(const Message& request);
 
   /// Reads one reply frame (buffered, or per-frame in legacy mode).
   std::optional<Message> read_reply();
+
+  /// Reads one AcquireReply frame carrying `cookie`.
+  AcquireResult read_acquire_reply(std::uint64_t cookie);
 
   UniqueFd fd_;
   std::uint16_t port_ = 0;
@@ -80,6 +97,7 @@ class BundleClient {
   FrameReader reader_;  ///< buffered: batched replies cost one recv
   std::vector<std::uint8_t> send_buf_;  ///< reused burst-encode scratch
   std::uint64_t next_cookie_ = 1;
+  std::uint64_t reserve_cookie_ = 0;  ///< cookie await_grant() expects
 };
 
 }  // namespace fbc::service

@@ -12,12 +12,23 @@
 // bundle intersects an in-flight set blocks on that one transfer instead
 // of issuing -- or skipping -- its own.
 //
+// A transfer registered with a ready instant (the server stamps the
+// reserve instant plus the scaled stage time under its admission lock) is
+// complete at that instant, whoever calls complete_fetch() and whenever:
+// waiters never wait past it. The thread that reserved a transfer may be
+// blocked elsewhere before it runs its fetch phase -- a router reserving
+// the next part of a scattered bundle queues on another shard -- and an
+// overlapping grant must not depend on that thread making progress.
+// complete_fetch() then only retires the entry; it wakes the waiters of
+// transfers registered without a ready instant.
+//
 // The internal mutex (level 30 in the docs/SERVING.md lock hierarchy) is
 // a leaf: it is never held while any other lock is taken, and waits
 // happen outside the server's admission mutex entirely, so coalescing
 // adds no contention to the grant path.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <span>
@@ -38,18 +49,25 @@ struct CoalesceWait {
 /// Tracks files currently being staged (see file comment). Thread-safe.
 class FetchCoalescer {
  public:
-  /// Marks `files` in-flight on behalf of one transfer. Files already
-  /// in-flight (a re-reservation after eviction mid-flight cannot happen
-  /// while leases pin them, but be defensive) are counted per owner.
-  void begin_fetch(std::span<const FileId> files);
+  using Clock = std::chrono::steady_clock;
 
-  /// Marks `files` arrived and wakes every waiter.
+  /// Marks `files` in-flight on behalf of one transfer whose bytes are
+  /// ready at `ready_at`; the default (time_point::max()) leaves the
+  /// arrival to complete_fetch(). Files already in-flight (a
+  /// re-reservation after eviction mid-flight cannot happen while leases
+  /// pin them, but be defensive) are counted per owner and keep the
+  /// latest ready instant.
+  void begin_fetch(std::span<const FileId> files,
+                   Clock::time_point ready_at = Clock::time_point::max());
+
+  /// Retires `files` and wakes every waiter.
   void complete_fetch(std::span<const FileId> files);
 
-  /// Blocks until no file of `files` is in-flight. Returns what was
-  /// waited on; zero-valued when nothing overlapped (the fast path: one
-  /// lock acquisition, no wait). May block indefinitely, so the caller
-  /// must not hold the admission mutex.
+  /// Blocks until no file of `files` is in-flight: each overlapping file
+  /// has been completed or has reached its ready instant. Returns what
+  /// was waited on; zero-valued when nothing overlapped (the fast path:
+  /// one lock acquisition, no wait). Without ready instants it may block
+  /// indefinitely, so the caller must not hold the admission mutex.
   // fbc:excludes(mu_) fbc:blocking
   [[nodiscard]] CoalesceWait wait_for(std::span<const FileId> files);
 
@@ -59,16 +77,20 @@ class FetchCoalescer {
   /// Total wait_for() calls that actually blocked on an in-flight file.
   [[nodiscard]] std::uint64_t coalesced_waits() const;
 
-  /// Files currently in-flight (tests/audit).
+  /// Files currently registered in-flight, ready or not (tests/audit).
   [[nodiscard]] std::size_t in_flight() const;
 
  private:
+  struct Flight {
+    std::uint32_t owners = 0;       ///< transfers currently staging it
+    Clock::time_point ready_at{};   ///< latest owner's ready instant
+  };
+
   // fbc:lock-level(30)
   // fbc:guards(in_flight_, transfers_, coalesced_waits_)
   mutable OrderedMutex inflight_mu_{30, "FetchCoalescer::inflight_mu_"};
   std::condition_variable_any cv_;
-  /// file -> number of transfers currently staging it.
-  std::unordered_map<FileId, std::uint32_t> in_flight_;
+  std::unordered_map<FileId, Flight> in_flight_;
   std::uint64_t transfers_ = 0;
   std::uint64_t coalesced_waits_ = 0;
 };

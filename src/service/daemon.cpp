@@ -62,29 +62,73 @@ void BundleDaemon::serve_connection(int raw_fd) {
   }
   // Leases granted over this connection and not yet released by it.
   std::vector<LeaseId> held;
+  // Reply frames encoded but not yet written.
+  std::vector<std::uint8_t> replies;
 
-  const auto handle = [&](Message& message) -> Message {
+  // Writes the pending replies; false once the client is gone.
+  const auto flush = [&] {
+    const bool ok = write_full(fd.get(), replies.data(), replies.size());
+    replies.clear();
+    return ok;
+  };
+  const auto reply = [&](const Message& message) {
+    encode_frame(message, &replies);
+  };
+  const auto acquire_reply = [](std::uint64_t cookie, const AcquireResult& r) {
+    return AcquireReplyMsg{cookie,    r.status,  r.lease, r.retry_after_ms,
+                           r.retries, r.request_hit};
+  };
+
+  // Handles one request, appending its reply frames to `replies`. Returns
+  // false when the client went away between the two replies of a
+  // ReserveRequest.
+  const auto handle = [&](Message& message) -> bool {
     if (auto* acq = std::get_if<AcquireRequestMsg>(&message)) {
       const Request request(std::move(acq->files));
       const AcquireResult r = endpoint_.acquire(request);
       if (r.status == AcquireStatus::Ok) held.push_back(r.lease);
-      return AcquireReplyMsg{acq->cookie,    r.status,
-                             r.lease,        r.retry_after_ms,
-                             r.retries,      r.request_hit};
+      reply(acquire_reply(acq->cookie, r));
+      return true;
+    }
+    if (auto* res = std::get_if<ReserveRequestMsg>(&message)) {
+      const Request request(std::move(res->files));
+      Reservation reservation = endpoint_.reserve(request);
+      const AcquireResult& reserved = reservation.result;
+      if (reserved.status != AcquireStatus::Ok) {
+        reply(acquire_reply(res->cookie, reserved));
+        return true;
+      }
+      // The lease is this connection's from the first reply on, and that
+      // reply reaches the client before the fetch blocks this thread. A
+      // client gone by now still gets its fetch run (the reservation's
+      // destructor) and its lease reclaimed below.
+      held.push_back(reserved.lease);
+      reply(acquire_reply(res->cookie, reserved));
+      if (!flush()) return false;
+      const AcquireResult granted = finish(reservation);
+      if (granted.status != AcquireStatus::Ok) std::erase(held, reserved.lease);
+      reply(acquire_reply(res->cookie, granted));
+      return true;
     }
     if (auto* rel = std::get_if<ReleaseRequestMsg>(&message)) {
       const bool ok = endpoint_.release(rel->lease);
       if (ok) std::erase(held, rel->lease);
-      return ReleaseReplyMsg{ok};
+      reply(ReleaseReplyMsg{ok});
+      return true;
     }
-    if (std::holds_alternative<StatsRequestMsg>(message))
-      return StatsReplyMsg{endpoint_.stats()};
-    if (std::holds_alternative<MetricsRequestMsg>(message))
-      return MetricsReplyMsg{endpoint_.metrics()};
+    if (std::holds_alternative<StatsRequestMsg>(message)) {
+      reply(StatsReplyMsg{endpoint_.stats()});
+      return true;
+    }
+    if (std::holds_alternative<MetricsRequestMsg>(message)) {
+      reply(MetricsReplyMsg{endpoint_.metrics()});
+      return true;
+    }
     if (std::holds_alternative<HelloRequestMsg>(message)) {
       const EndpointInfo info = endpoint_.info();
-      return HelloReplyMsg{info.role, info.shard_id, info.shard_count,
-                           info.shards_down};
+      reply(HelloReplyMsg{info.role, info.shard_id, info.shard_count,
+                          info.shards_down});
+      return true;
     }
     // Reply types are server-to-client only.
     throw ProtocolError(std::string("unexpected client message ") +
@@ -97,7 +141,7 @@ void BundleDaemon::serve_connection(int raw_fd) {
     for (;;) {
       std::optional<Message> message = recv_message(fd.get());
       if (!message.has_value()) break;  // client hung up cleanly
-      if (!send_message(fd.get(), handle(*message))) break;
+      if (!handle(*message) || !flush()) break;
     }
   };
 
@@ -110,15 +154,14 @@ void BundleDaemon::serve_connection(int raw_fd) {
   // always come back empty.
   const auto serve_batched = [&] {
     FrameReader reader;
-    std::vector<std::uint8_t> replies;
     std::optional<Message> message = reader.next(fd.get());
     while (message.has_value()) {
-      replies.clear();
       Message in_hand = std::move(*message);
+      bool alive = true;
       do {
-        encode_frame(handle(in_hand), &replies);
-      } while (reader.buffered_next(&in_hand));
-      if (!write_full(fd.get(), replies.data(), replies.size())) break;
+        alive = handle(in_hand);
+      } while (alive && reader.buffered_next(&in_hand));
+      if (!alive || !flush()) break;
       message = reader.next(fd.get());
     }
   };

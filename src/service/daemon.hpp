@@ -6,9 +6,12 @@
 // so up to `workers` clients are served concurrently; further connections
 // queue inside the pool. Each connection is a strict request/reply loop:
 // AcquireRequest -> AcquireReply, ReleaseRequest -> ReleaseReply,
-// StatsRequest -> StatsReply. Leases granted over a connection that
-// disconnects without releasing them are auto-released, so a crashed
-// client can never wedge the cache with orphaned pins.
+// StatsRequest -> StatsReply, and the one two-reply exchange,
+// ReserveRequest -> AcquireReply (reserved, written out at once) ->
+// AcquireReply (granted, once staged). Leases granted -- or reserved --
+// over a connection that disconnects without releasing them are
+// auto-released, so a crashed client can never wedge the cache with
+// orphaned pins.
 #pragma once
 
 #include <atomic>

@@ -222,14 +222,33 @@ AcquireStatus decode_status(std::uint8_t raw) {
   return static_cast<AcquireStatus>(raw);
 }
 
+/// The AcquireRequest/ReserveRequest payload: `cookie u64`, `count u32`,
+/// `count x FileId u32`.
+void encode_bundle(std::vector<std::uint8_t>* out, std::uint64_t cookie,
+                   const std::vector<FileId>& files) {
+  put_u64(out, cookie);
+  put_u32(out, static_cast<std::uint32_t>(files.size()));
+  for (FileId id : files) put_u32(out, id);
+}
+
+/// Decodes a whole encode_bundle() payload.
+void decode_bundle(Reader* in, std::uint64_t* cookie,
+                   std::vector<FileId>* files) {
+  *cookie = in->u64();
+  const std::uint32_t count = in->u32();
+  if (count > (kMaxPayloadBytes - 12) / 4)
+    throw ProtocolError("file count exceeds the frame cap");
+  files->reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) files->push_back(in->u32());
+  in->finish();
+}
+
 void encode_payload(const Message& message, std::vector<std::uint8_t>* out) {
   // Payload encoder switch: must cover every MsgType (fbclint L003).
   switch (message_type(message)) {
     case MsgType::AcquireRequest: {
       const auto& m = std::get<AcquireRequestMsg>(message);
-      put_u64(out, m.cookie);
-      put_u32(out, static_cast<std::uint32_t>(m.files.size()));
-      for (FileId id : m.files) put_u32(out, id);
+      encode_bundle(out, m.cookie, m.files);
       return;
     }
     case MsgType::AcquireReply: {
@@ -272,6 +291,11 @@ void encode_payload(const Message& message, std::vector<std::uint8_t>* out) {
       put_u32(out, m.shards_down);
       return;
     }
+    case MsgType::ReserveRequest: {
+      const auto& m = std::get<ReserveRequestMsg>(message);
+      encode_bundle(out, m.cookie, m.files);
+      return;
+    }
   }
   throw ProtocolError("unencodable message type");
 }
@@ -291,6 +315,7 @@ const char* to_string(MsgType type) noexcept {
     case MsgType::MetricsReply: return "MetricsReply";
     case MsgType::HelloRequest: return "HelloRequest";
     case MsgType::HelloReply: return "HelloReply";
+    case MsgType::ReserveRequest: return "ReserveRequest";
   }
   return "?";
 }
@@ -339,7 +364,7 @@ FrameHeader decode_header(std::span<const std::uint8_t> bytes) {
                         " exceeds the frame cap");
   const std::uint8_t raw_type = bytes[4];
   if (raw_type < static_cast<std::uint8_t>(MsgType::AcquireRequest) ||
-      raw_type > static_cast<std::uint8_t>(MsgType::HelloReply))
+      raw_type > static_cast<std::uint8_t>(MsgType::ReserveRequest))
     throw ProtocolError("unknown message type " + std::to_string(raw_type));
   header.type = static_cast<MsgType>(raw_type);
   return header;
@@ -351,13 +376,7 @@ Message decode_payload(MsgType type, std::span<const std::uint8_t> payload) {
   switch (type) {
     case MsgType::AcquireRequest: {
       AcquireRequestMsg m;
-      m.cookie = in.u64();
-      const std::uint32_t count = in.u32();
-      if (count > (kMaxPayloadBytes - 12) / 4)
-        throw ProtocolError("file count exceeds the frame cap");
-      m.files.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) m.files.push_back(in.u32());
-      in.finish();
+      decode_bundle(&in, &m.cookie, &m.files);
       return m;
     }
     case MsgType::AcquireReply: {
@@ -423,6 +442,11 @@ Message decode_payload(MsgType type, std::span<const std::uint8_t> payload) {
       if (m.shard_count == 0)
         throw ProtocolError("hello reply with zero shard count");
       in.finish();
+      return m;
+    }
+    case MsgType::ReserveRequest: {
+      ReserveRequestMsg m;
+      decode_bundle(&in, &m.cookie, &m.files);
       return m;
     }
   }

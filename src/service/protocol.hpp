@@ -6,10 +6,14 @@
 //   | payload_len u32| type u8| payload (payload_len B)|
 //   +----------------+--------+------------------------+
 //
-// The protocol is deliberately minimal -- four request/reply pairs
-// (acquire a bundle lease, release a lease, snapshot server stats, export
-// an observability metrics snapshot) -- and strictly client-initiated: the
-// server sends exactly one reply frame per request frame. Unknown message
+// The protocol is deliberately minimal -- request/reply pairs to acquire
+// a bundle lease, release a lease, snapshot server stats, export an
+// observability metrics snapshot and identify the endpoint -- and
+// strictly client-initiated: the server sends exactly one reply frame per
+// request frame, with one exception. A ReserveRequest (the two-phase
+// acquire) is answered by one AcquireReply once the bundle is reserved
+// and, when that reply is Ok, by a second AcquireReply once the bundle is
+// staged. Replies always come back in request order. Unknown message
 // types and oversized or truncated frames are protocol errors; the server
 // closes the connection.
 //
@@ -46,6 +50,7 @@ enum class MsgType : std::uint8_t {
   MetricsReply = 8,
   HelloRequest = 9,
   HelloReply = 10,
+  ReserveRequest = 11,
 };
 
 /// What kind of endpoint answered a HelloRequest (one byte on the wire).
@@ -130,6 +135,13 @@ struct AcquireRequestMsg {
   std::vector<FileId> files;
 };
 
+/// Two-phase acquire: same payload as AcquireRequestMsg, answered by two
+/// AcquireReplyMsg frames (reserved, then granted) when the first is Ok.
+struct ReserveRequestMsg {
+  std::uint64_t cookie = 0;
+  std::vector<FileId> files;
+};
+
 struct AcquireReplyMsg {
   std::uint64_t cookie = 0;
   AcquireStatus status = AcquireStatus::Ok;
@@ -181,7 +193,7 @@ using Message =
     std::variant<AcquireRequestMsg, AcquireReplyMsg, ReleaseRequestMsg,
                  ReleaseReplyMsg, StatsRequestMsg, StatsReplyMsg,
                  MetricsRequestMsg, MetricsReplyMsg, HelloRequestMsg,
-                 HelloReplyMsg>;
+                 HelloReplyMsg, ReserveRequestMsg>;
 
 /// Frame type of a message value.
 [[nodiscard]] MsgType message_type(const Message& message) noexcept;

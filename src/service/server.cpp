@@ -126,46 +126,50 @@ bool BundleServer::fits_locked(const Request& request) const {
   return missing <= cache_.free_bytes() + evictable;
 }
 
-LeaseId BundleServer::admit_locked(const Request& request, Bytes bundle_bytes,
-                                   bool* request_hit, double* stage_s,
-                                   std::vector<FileId>* fetched,
-                                   Bytes* missing_bytes) {
+void BundleServer::admit_locked(Waiter& waiter) {
+  const Request& request = *waiter.request;
   policy_->on_job_arrival(request, cache_);
   std::vector<FileId> missing = cache_.missing_files(request);
-  *missing_bytes = mss_->catalog().bundle_bytes(missing);
-  metrics_.record_job(bundle_bytes, *missing_bytes, request.size(),
-                      request.size() - missing.size());
-  *stage_s = 0.0;
+  waiter.missing_bytes = mss_->catalog().bundle_bytes(missing);
+  metrics_.record_job(waiter.bundle_bytes, waiter.missing_bytes,
+                      request.size(), request.size() - missing.size());
   if (missing.empty()) {
-    *request_hit = true;
+    waiter.request_hit = true;
     policy_->on_request_hit(request, cache_);
   } else {
-    *request_hit = false;
-    if (cache_.free_bytes() < *missing_bytes) {
-      const Bytes needed = *missing_bytes - cache_.free_bytes();
+    waiter.request_hit = false;
+    if (cache_.free_bytes() < waiter.missing_bytes) {
+      const Bytes needed = waiter.missing_bytes - cache_.free_bytes();
       for (FileId victim : policy_->select_victims(request, needed, cache_)) {
         metrics_.record_eviction(mss_->catalog().size_of(victim));
         cache_.evict(victim);  // throws on a leased (pinned) file
         policy_->on_file_evicted(victim);
       }
-      if (cache_.free_bytes() < *missing_bytes)
+      if (cache_.free_bytes() < waiter.missing_bytes)
         throw std::runtime_error(
             "BundleServer: policy freed insufficient space");
     }
     for (FileId id : missing) cache_.insert(id);
     policy_->on_files_loaded(request, missing, cache_);
-    *stage_s = transfers_.stage_seconds(missing, *mss_);
+    // At time_scale 0 staging is instantaneous: the default ready
+    // instant (the clock's epoch) has always passed.
+    if (config_.time_scale > 0.0)
+      waiter.ready_at =
+          Clock::now() +
+          std::chrono::duration_cast<Clock::duration>(
+              std::chrono::duration<double>(
+                  transfers_.stage_seconds(missing, *mss_) *
+                  config_.time_scale));
     // Register the transfer as in-flight before anyone else can be
     // granted an overlapping bundle: begin_fetch under mu_ closes the
     // window between "reserved (files look resident)" and "in-flight set
     // updated". The coalescer mutex is a leaf, so mu_ -> coalescer is the
     // only order that ever occurs.
-    if (config_.coalesce) coalescer_.begin_fetch(missing);
+    if (config_.coalesce) coalescer_.begin_fetch(missing, waiter.ready_at);
   }
-  const LeaseId lease = leases_.grant(request);
+  waiter.lease = leases_.grant(request);
   for (FileId id : request.files) cache_.pin(id);
-  *fetched = std::move(missing);
-  return lease;
+  waiter.fetched = std::move(missing);
 }
 
 std::size_t BundleServer::drain_locked() {
@@ -191,12 +195,10 @@ std::size_t BundleServer::drain_locked() {
       break;  // head-of-line: nothing behind it admits this pass
     }
     head.t_admit = Clock::now();
-    queue_.erase(queue_.begin() + idx);
+    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
     metrics_.record_queue_wait(
         static_cast<double>(admissions_ - head.admissions_at_enqueue));
-    head.lease = admit_locked(*head.request, head.bundle_bytes,
-                              &head.request_hit, &head.stage_s, &head.fetched,
-                              &head.missing_bytes);
+    admit_locked(head);
     ++admissions_;
     head.t_reserved = Clock::now();
     grant_times_.emplace(head.lease, head.t_reserved);
@@ -211,13 +213,60 @@ std::size_t BundleServer::drain_locked() {
   return admitted;
 }
 
+/// The fetch phase of a reserve(): runs fetch_phase() exactly once, from
+/// finish() or, for a reservation dropped unfinished, from the destructor
+/// (so its transfer is still retired and its grant still recorded).
+class BundleServer::Grant final : public PendingGrant {
+ public:
+  Grant(BundleServer& server, Admission admission)
+      : server_(&server), admission_(std::move(admission)) {}
+
+  Grant(const Grant&) = delete;
+  Grant& operator=(const Grant&) = delete;
+
+  ~Grant() override {
+    if (finished_) return;
+    try {
+      (void)server_->fetch_phase(admission_);
+    } catch (const std::exception& e) {
+      FBC_LOG(Warn) << "BundleServer: unfinished reservation: " << e.what();
+    }
+  }
+
+  AcquireResult finish() override {
+    finished_ = true;
+    return server_->fetch_phase(admission_);
+  }
+
+ private:
+  BundleServer* server_;
+  Admission admission_;
+  bool finished_ = false;
+};
+
 AcquireResult BundleServer::acquire(const Request& request) {
-  const auto t0 = Clock::now();
-  obs::ServingSpan span;
+  Admission admission = reserve_phase(request);
+  return fetch_phase(admission);
+}
+
+Reservation BundleServer::reserve(const Request& request) {
+  Admission admission = reserve_phase(request);
+  if (admission.result.status != AcquireStatus::Ok)
+    return {admission.result, nullptr};
+  const AcquireResult reserved = admission.result;
+  return {reserved, std::make_unique<Grant>(*this, std::move(admission))};
+}
+
+BundleServer::Admission BundleServer::reserve_phase(const Request& request) {
+  Admission admission;
+  admission.request = &request;
+  admission.t0 = Clock::now();
+  const auto t0 = admission.t0;
+  obs::ServingSpan& span = admission.span;
   span.request_id = request_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   span.files = static_cast<std::uint32_t>(request.size());
 
-  AcquireResult result;
+  AcquireResult& result = admission.result;
   const FileCatalog& catalog = mss_->catalog();
   const bool valid =
       !request.empty() &&
@@ -229,14 +278,14 @@ AcquireResult BundleServer::acquire(const Request& request) {
     result.status = AcquireStatus::Closed;
     span.total_us = us_between(t0, Clock::now());
     finish_span(span, result.status, "acquire.closed");
-    return result;
+    return admission;
   }
   if (!valid) {
     ++invalid_;
     result.status = AcquireStatus::InvalidRequest;
     span.total_us = us_between(t0, Clock::now());
     finish_span(span, result.status, "acquire.invalid");
-    return result;
+    return admission;
   }
   const Bytes bundle_bytes = catalog.request_bytes(request);
   span.bundle_bytes = bundle_bytes;
@@ -245,7 +294,7 @@ AcquireResult BundleServer::acquire(const Request& request) {
     result.status = AcquireStatus::Unserviceable;
     span.total_us = us_between(t0, Clock::now());
     finish_span(span, result.status, "acquire.unserviceable");
-    return result;
+    return admission;
   }
   if (queue_.size() >= config_.max_queue) {
     ++rejected_full_;
@@ -265,7 +314,7 @@ AcquireResult BundleServer::acquire(const Request& request) {
     span.queue_depth = static_cast<std::uint32_t>(queue_.size());
     span.total_us = us_between(t0, Clock::now());
     finish_span(span, result.status, "acquire.queue_full");
-    return result;
+    return admission;
   }
   span.queue_depth = static_cast<std::uint32_t>(queue_.size());
 
@@ -294,7 +343,7 @@ AcquireResult BundleServer::acquire(const Request& request) {
       span.queue_us = us_between(t0, Clock::now());
       span.total_us = span.queue_us;
       finish_span(span, result.status, "acquire.closed");
-      return result;
+      return admission;
     }
     if (waiter.state == Waiter::State::Backoff) {
       // A drain pass chose this waiter and its transfer draw failed.
@@ -306,7 +355,7 @@ AcquireResult BundleServer::acquire(const Request& request) {
         span.queue_us = us_between(t0, Clock::now());
         span.total_us = span.queue_us;
         finish_span(span, result.status, "acquire.transfer_failed");
-        return result;
+        return admission;
       }
       ++transfer_retries_;
       const auto backoff =
@@ -332,44 +381,51 @@ AcquireResult BundleServer::acquire(const Request& request) {
       span.queue_us = us_between(t0, Clock::now());
       span.total_us = span.queue_us;
       finish_span(span, result.status, "acquire.timed_out");
-      return result;
+      return admission;
     }
   }
 
+  result.status = AcquireStatus::Ok;
   result.lease = waiter.lease;
   result.request_hit = waiter.request_hit;
   result.retries = waiter.failed_attempts;
   span.missing_bytes = waiter.missing_bytes;
-  const double stage_s = waiter.stage_s;
-  const std::vector<FileId> fetched = std::move(waiter.fetched);
-  const auto t_admit = waiter.t_admit;
-  const auto t_reserved = waiter.t_reserved;
-  lock.unlock();
+  admission.fetched = std::move(waiter.fetched);
+  admission.t_admit = waiter.t_admit;
+  admission.t_reserved = waiter.t_reserved;
+  admission.ready_at = waiter.ready_at;
+  return admission;
+}
+
+AcquireResult BundleServer::fetch_phase(Admission& admission) {
+  AcquireResult result = admission.result;
+  if (result.status != AcquireStatus::Ok) return result;
+  obs::ServingSpan& span = admission.span;
+  const std::vector<FileId>& fetched = admission.fetched;
 
   // Fetch phase: the bundle is reserved (pinned), so the simulated
   // transfer can proceed without the lock while other admissions overlap.
+  // It ends at the ready instant stamped at admission, however long this
+  // thread took to get here.
   CoalesceWait cwait;
   if (!fetched.empty()) {
-    if (config_.time_scale > 0.0 && stage_s > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          stage_s * config_.time_scale));
-    }
+    if (config_.time_scale > 0.0)
+      std::this_thread::sleep_until(admission.ready_at);
     if (config_.coalesce) coalescer_.complete_fetch(fetched);
   }
   const auto t_fetched = Clock::now();
   if (config_.coalesce) {
     // Our own files are complete by now; this blocks only when another
     // admission's transfer still has part of our bundle in flight.
-    cwait = coalescer_.wait_for(request.files);
+    cwait = coalescer_.wait_for(admission.request->files);
   }
-  result.status = AcquireStatus::Ok;
 
   const auto t_end = Clock::now();
-  span.queue_us = us_between(t0, t_admit);
-  span.reserve_us = us_between(t_admit, t_reserved);
-  span.fetch_us = us_between(t_reserved, t_fetched);
+  span.queue_us = us_between(admission.t0, admission.t_admit);
+  span.reserve_us = us_between(admission.t_admit, admission.t_reserved);
+  span.fetch_us = us_between(admission.t_reserved, t_fetched);
   span.coalesce_us = cwait.wait_us;
-  span.total_us = us_between(t0, t_end);
+  span.total_us = us_between(admission.t0, t_end);
   {
     // Duration histograms are Ok-grants only: their counts tie to
     // stats().requests once in-flight acquires have drained.

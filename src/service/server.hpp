@@ -9,17 +9,27 @@
 //   reserve  under the admission lock: the policy picks victims, the cache
 //            evicts them and inserts the missing files, and every bundle
 //            file is pinned through a lease -- from this instant no other
-//            admission can evict the bundle;
-//   fetch    outside the lock: the simulated MSS transfer runs (scaled
-//            stage time, injectable failures with bounded exponential-
-//            backoff retry before the reserve); concurrent admissions
+//            admission can evict the bundle. The transfer's ready instant
+//            (now plus the scaled stage time) is stamped here too;
+//   fetch    outside the lock: the simulated MSS transfer runs until its
+//            ready instant (injectable failures with bounded exponential-
+//            backoff retry happen before the reserve, so a reserved
+//            acquire always ends in a grant); concurrent admissions
 //            whose bundles overlap an in-flight transfer wait on that one
-//            transfer through the FetchCoalescer instead of starting
-//            their jobs before the bytes arrive;
+//            transfer through the FetchCoalescer -- never past its ready
+//            instant -- instead of starting their jobs before the bytes
+//            arrive;
 //   lease    the lease id is returned to the caller, whose job runs with
 //            the bundle guaranteed resident;
 //   release  release() unpins the bundle; files become evictable once the
 //            last overlapping lease is gone.
+//
+// acquire() runs both phases in the calling thread. reserve() returns
+// after the first and hands back the second as a PendingGrant (see
+// service/endpoint.hpp), so a caller -- the router scattering a bundle
+// over several shards, or the daemon answering a ReserveRequest -- can
+// reserve elsewhere while this shard's fetch is in flight. Both run the
+// same two private phases.
 //
 // Admission is *batched*: whichever waiter thread holds the admission
 // mutex drains up to ServiceConfig::admission_batch queued entries in one
@@ -191,6 +201,12 @@ class BundleServer : public ServingEndpoint {
   /// or the timeout expires. Safe to call from any number of threads.
   [[nodiscard]] AcquireResult acquire(const Request& request) override;
 
+  /// Returns as soon as the request is admitted (pinned under its lease,
+  /// transfer in flight) or refused; finish() on the reservation waits
+  /// out the fetch and returns the grant. A reservation dropped unfinished
+  /// still runs its fetch phase, in the destructor.
+  [[nodiscard]] Reservation reserve(const Request& request) override;
+
   /// Releases a lease. Returns false for unknown ids. Wakes queued
   /// admissions that were waiting for pinned bytes to free up.
   bool release(LeaseId lease) override;
@@ -236,6 +252,12 @@ class BundleServer : public ServingEndpoint {
   /// cache state" between batched and serial replays of one schedule.
   [[nodiscard]] std::vector<FileId> resident_files() const;
 
+  /// Files of transfers registered in-flight and not yet retired by their
+  /// fetch phase (0 once every reservation is finished).
+  [[nodiscard]] std::size_t in_flight_files() const {
+    return coalescer_.in_flight();
+  }
+
   /// Most recent per-request spans, oldest first (bounded by
   /// ServiceConfig::span_capacity).
   [[nodiscard]] std::vector<obs::ServingSpan> spans() const {
@@ -268,7 +290,6 @@ class BundleServer : public ServingEndpoint {
     /// be a different thread than the waiter's own) under mu_.
     LeaseId lease = 0;
     bool request_hit = false;
-    double stage_s = 0.0;
     Bytes missing_bytes = 0;
     /// Files this admission actually stages (missing at reserve time);
     /// the coalescer keys in-flight transfers on them.
@@ -279,7 +300,37 @@ class BundleServer : public ServingEndpoint {
     /// cv_.wait while another thread admits it).
     std::chrono::steady_clock::time_point t_admit{};
     std::chrono::steady_clock::time_point t_reserved{};
+    /// When the fetched bytes are staged: admission plus the scaled stage
+    /// time. Left at the clock's epoch for a hit, which fetches nothing,
+    /// and at time_scale 0, where staging takes no time.
+    std::chrono::steady_clock::time_point ready_at{};
   };
+
+  /// One acquire between its two phases: what reserve_phase() hands to
+  /// fetch_phase(). A status other than Ok is a final refusal.
+  struct Admission {
+    const Request* request = nullptr;
+    AcquireResult result;
+    obs::ServingSpan span;
+    std::chrono::steady_clock::time_point t0{};
+    std::chrono::steady_clock::time_point t_admit{};
+    std::chrono::steady_clock::time_point t_reserved{};
+    std::chrono::steady_clock::time_point ready_at{};
+    std::vector<FileId> fetched;
+  };
+
+  /// The PendingGrant reserve() returns: runs fetch_phase() once.
+  class Grant;
+
+  /// Queue, admission and reserve: everything up to the lease. Refusals
+  /// (closed, invalid, unserviceable, queue full, timed out, transfer
+  /// failed) are counted and spanned here.
+  [[nodiscard]] Admission reserve_phase(const Request& request);
+
+  /// Sleeps until the reserved transfer's ready instant, retires it,
+  /// waits for overlapping transfers, records the grant and returns it.
+  /// Returns a refusal unchanged.
+  [[nodiscard]] AcquireResult fetch_phase(Admission& admission);
 
   /// Index into queue_ of the next request to admit under config_.order.
   // fbc:requires(mu_)
@@ -300,12 +351,11 @@ class BundleServer : public ServingEndpoint {
   // fbc:requires(mu_)
   std::size_t drain_locked();
 
-  /// Evicts victims, inserts missing files, grants the lease and records
-  /// metrics. Returns the simulated staging seconds through `stage_s`.
+  /// Evicts victims, inserts missing files, grants the lease, registers
+  /// the transfer with its ready instant and records metrics, filling in
+  /// the waiter's admission outcome.
   // fbc:requires(mu_)
-  LeaseId admit_locked(const Request& request, Bytes bundle_bytes,
-                       bool* request_hit, double* stage_s,
-                       std::vector<FileId>* fetched, Bytes* missing_bytes);
+  void admit_locked(Waiter& waiter);
 
   /// Counts the outcome under obs_mu_ and records the span (error paths;
   /// the Ok-grant path folds its counter bump into the same obs_mu_

@@ -36,12 +36,142 @@ void await(const Pred& ready, const char* what) {
                            what);
 }
 
+/// One shard call of an acquire, as the scatter-order probe saw it.
+struct ShardEvent {
+  enum class Kind {
+    Acquire,  ///< one-call acquire, granted
+    Reserve,  ///< split acquire, reserved
+    Grant,    ///< a reservation's finish returned its grant
+    Drop,     ///< a release, or a finish that died: the part is gone
+  };
+  Kind kind;
+  std::uint32_t shard;
+  service::LeaseId lease;
+};
+
+/// The shard calls of the acquire running on this thread, in call order,
+/// or null outside an acquire. The router calls its shards from the
+/// acquiring thread, so one op's calls all land in its own log.
+thread_local std::vector<ShardEvent>* t_shard_events = nullptr;
+
+void log_shard_event(ShardEvent event) {
+  if (t_shard_events != nullptr) t_shard_events->push_back(event);
+}
+
+/// Forwards every call to the wrapped shard and logs the acquire-side
+/// calls for check_scatter_order().
+class OrderProbeShard final : public cluster::Shard {
+ public:
+  OrderProbeShard(std::unique_ptr<cluster::Shard> inner, std::uint32_t shard)
+      : inner_(std::move(inner)), shard_(shard) {}
+
+  AcquireResult acquire(const Request& request) override {
+    const AcquireResult result = inner_->acquire(request);
+    if (result.status == AcquireStatus::Ok)
+      log_shard_event({ShardEvent::Kind::Acquire, shard_, result.lease});
+    return result;
+  }
+  service::Reservation reserve(const Request& request) override {
+    service::Reservation reservation = inner_->reserve(request);
+    if (reservation.result.status != AcquireStatus::Ok) return reservation;
+    const AcquireResult reserved = reservation.result;
+    log_shard_event({ShardEvent::Kind::Reserve, shard_, reserved.lease});
+    return {reserved, std::make_unique<Grant>(shard_, std::move(reservation))};
+  }
+  bool release(service::LeaseId lease) override {
+    log_shard_event({ShardEvent::Kind::Drop, shard_, lease});
+    return inner_->release(lease);
+  }
+  [[nodiscard]] service::ServiceStats stats() const override {
+    return inner_->stats();
+  }
+  [[nodiscard]] service::MetricsSnapshot metrics() const override {
+    return inner_->metrics();
+  }
+  void close() override { inner_->close(); }
+  void invalidate_pool() override { inner_->invalidate_pool(); }
+
+ private:
+  class Grant final : public service::PendingGrant {
+   public:
+    Grant(std::uint32_t shard, service::Reservation inner)
+        : shard_(shard), inner_(std::move(inner)) {}
+    AcquireResult finish() override {
+      const service::LeaseId lease = inner_.result.lease;
+      try {
+        const AcquireResult granted = service::finish(inner_);
+        log_shard_event({granted.status == AcquireStatus::Ok
+                             ? ShardEvent::Kind::Grant
+                             : ShardEvent::Kind::Drop,
+                         shard_, lease});
+        return granted;
+      } catch (...) {
+        log_shard_event({ShardEvent::Kind::Drop, shard_, lease});
+        throw;
+      }
+    }
+
+   private:
+    std::uint32_t shard_;
+    service::Reservation inner_;
+  };
+
+  std::unique_ptr<cluster::Shard> inner_;
+  std::uint32_t shard_;
+};
+
+/// The scatter oracle: a granted bundle whose lease spans several shards
+/// must have had every part reserved before any part was granted. The
+/// parts are the reservations the op kept (those not dropped by a
+/// rollback or a dead shard); a part won by a one-call acquire counts as
+/// granted at its reservation. Returns a description of the violation.
+std::optional<std::string> check_scatter_order(
+    const std::vector<ShardEvent>& events) {
+  const auto dropped = [&](const ShardEvent& part) {
+    return std::any_of(events.begin(), events.end(), [&](const ShardEvent& e) {
+      return e.kind == ShardEvent::Kind::Drop && e.shard == part.shard &&
+             e.lease == part.lease;
+    });
+  };
+  std::vector<std::size_t> kept;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const ShardEvent& e = events[i];
+    if ((e.kind == ShardEvent::Kind::Acquire ||
+         e.kind == ShardEvent::Kind::Reserve) &&
+        !dropped(e))
+      kept.push_back(i);
+  }
+  if (kept.size() < 2) return std::nullopt;
+  const std::size_t last_reserved = kept.back();
+  for (std::size_t i : kept) {
+    const ShardEvent& part = events[i];
+    if (part.kind == ShardEvent::Kind::Acquire && i != last_reserved)
+      return "part on shard " + std::to_string(part.shard) +
+             " was granted by a one-call acquire before every part was "
+             "reserved";
+    const auto grant = std::find_if(
+        events.begin(), events.end(), [&](const ShardEvent& e) {
+          return e.kind == ShardEvent::Kind::Grant && e.shard == part.shard &&
+                 e.lease == part.lease;
+        });
+    if (part.kind == ShardEvent::Kind::Reserve && grant == events.end())
+      return "part on shard " + std::to_string(part.shard) +
+             " was never granted";
+    if (part.kind == ShardEvent::Kind::Reserve &&
+        static_cast<std::size_t>(grant - events.begin()) < last_reserved)
+      return "part on shard " + std::to_string(part.shard) +
+             " was granted before every part was reserved";
+  }
+  return std::nullopt;
+}
+
 /// The N servers + shards + router a replay runs against. The router is
 /// built last and destroyed first (member order), matching its "shards
 /// outlive the router" contract. Every shard is wrapped in a
 /// FaultInjectionShard (a passthrough while alive) so a FaultPlan can
-/// kill/revive it mid-replay; `faulty` aliases the wrappers, which the
-/// router owns.
+/// kill/revive it mid-replay, and that in an OrderProbeShard for the
+/// scatter oracle; `faulty` aliases the fault wrappers, which the router
+/// owns.
 struct ClusterStack {
   std::vector<std::unique_ptr<BundleServer>> servers;
   std::vector<cluster::FaultInjectionShard*> faulty;
@@ -58,10 +188,10 @@ ClusterStack build_stack(const SchedInstance& instance, ServiceConfig config,
     shard_config.shard_id = s;
     stack.servers.push_back(
         std::make_unique<BundleServer>(shard_config, mss));
-    shards.push_back(std::make_unique<cluster::FaultInjectionShard>(
-        std::make_unique<cluster::LocalShard>(*stack.servers.back())));
-    stack.faulty.push_back(
-        static_cast<cluster::FaultInjectionShard*>(shards.back().get()));
+    auto faulty = std::make_unique<cluster::FaultInjectionShard>(
+        std::make_unique<cluster::LocalShard>(*stack.servers.back()));
+    stack.faulty.push_back(faulty.get());
+    shards.push_back(std::make_unique<OrderProbeShard>(std::move(faulty), s));
   }
   stack.router = std::make_unique<cluster::ClusterRouter>(
       cluster, instance.catalog, config.cache_bytes, std::move(shards));
@@ -197,6 +327,7 @@ ClusterOutcome run_cluster_schedule(const SchedInstance& instance,
     if (op.client >= held.size()) held.resize(op.client + 1);
 
   std::vector<AcquireResult> results(instance.ops.size());
+  std::vector<std::vector<ShardEvent>> events(instance.ops.size());
   if (!concurrent) {
     for (std::size_t i = 0; i < instance.ops.size(); ++i) {
       const SchedOp& op = instance.ops[i];
@@ -207,7 +338,9 @@ ClusterOutcome run_cluster_schedule(const SchedInstance& instance,
         router.release(held[op.client].front());
         held[op.client].pop_front();
       }
+      t_shard_events = &events[i];
       results[i] = router.acquire(op.request);
+      t_shard_events = nullptr;
       // Hold the lease as soon as it is granted: a later release_oldest
       // op must actually release it mid-replay, exactly as the
       // concurrent path (and cluster_feasible_floor's bookkeeping) does.
@@ -235,7 +368,9 @@ ClusterOutcome run_cluster_schedule(const SchedInstance& instance,
           held[op.client].pop_front();
         }
         std::atomic<bool>& flag = done[i - start];
-        threads.emplace_back([&router, &op, &results, &errors, &flag, i] {
+        threads.emplace_back([&router, &op, &results, &events, &errors,
+                              &flag, i] {
+          t_shard_events = &events[i];
           // Same containment as sched_sim: an exception out of acquire
           // closes the whole cluster so queued waiters return Closed
           // instead of stranding the wave, and is rethrown after the join.
@@ -270,6 +405,13 @@ ClusterOutcome run_cluster_schedule(const SchedInstance& instance,
         if (results[i].status == AcquireStatus::Ok)
           held[instance.ops[i].client].push_back(results[i].lease);
     }
+  }
+
+  for (std::size_t i = 0; i < instance.ops.size(); ++i) {
+    if (results[i].status != AcquireStatus::Ok) continue;
+    if (const auto violation = check_scatter_order(events[i]))
+      throw std::runtime_error("cluster_sim: op " + std::to_string(i) +
+                               ": " + *violation);
   }
 
   for (std::size_t i = 0; i < instance.ops.size(); ++i) {

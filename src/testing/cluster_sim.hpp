@@ -14,6 +14,9 @@
 //    each to be visibly queued somewhere -- summed queue depth -- or
 //    already finished), then all shards unpause and the wave drains.
 //
+// Both replays also check every granted scatter: each of its parts was
+// reserved before any part was granted (the router's two-round scatter).
+//
 // With wave == 1 the concurrent replay degenerates to sequential arrival
 // and the two outcomes must be bit-identical (strict oracle: statuses,
 // hit flags, per-shard residency, counters). With wave > 1 per-shard

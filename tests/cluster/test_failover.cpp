@@ -3,16 +3,21 @@
 // back), degraded placement (requests re-route to live shards, affinity
 // falls back to its hash partition), the scatter-release fix (one dead
 // shard no longer strands the other parts), deferred releases flushing
-// on recovery, stats/metrics surviving a dead shard, and the
-// FaultInjectionShard test double itself.
+// on recovery, stats/metrics surviving a dead shard, a shard dying
+// between a scatter part's reservation and its grant (in-process and over
+// the wire), and the FaultInjectionShard test double itself.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "cluster/router.hpp"
 #include "cluster/shard.hpp"
 #include "grid/mss.hpp"
+#include "service/daemon.hpp"
 #include "service/net.hpp"
 #include "service/server.hpp"
 
@@ -312,6 +317,117 @@ TEST(Failover, RecoveredShardServesAgainWithoutRerouting) {
   EXPECT_EQ(counter(cluster.router->metrics(), "grid.acquire.rerouted"),
             rerouted_before);
   EXPECT_TRUE(cluster.router->release(after.lease));
+}
+
+TEST(Failover, ShardDyingBetweenReservedAndGrantedIsReplannedUnseen) {
+  FaultyCluster cluster = make_cluster(
+      faulty_config(3, PlacementMode::HashFile), 48, small_service());
+  const Placement& placement = cluster.router->placement();
+  const Request bundle({file_on_shard(placement, 0, 48),
+                        file_on_shard(placement, 1, 48),
+                        file_on_shard(placement, 2, 48)});
+  cluster.faulty[1]->fail_on_finish(true);
+
+  const AcquireResult r = cluster.router->acquire(bundle);
+  ASSERT_EQ(r.status, AcquireStatus::Ok);  // no client-visible failure
+  EXPECT_TRUE(cluster.router->shard_down(1));
+  const service::MetricsSnapshot metrics = cluster.router->metrics();
+  EXPECT_EQ(counter(metrics, "grid.acquire.rollback"), 1u);
+  EXPECT_GE(counter(metrics, "grid.acquire.rerouted"), 1u);
+  EXPECT_EQ(counter(metrics, "grid.acquire.scatter"), 1u);
+  // The dead shard's reservation went with its connection.
+  EXPECT_EQ(cluster.server(1).stats().active_leases, 0u);
+
+  EXPECT_TRUE(cluster.router->release(r.lease));
+  EXPECT_EQ(cluster.router->pending_releases(), 0u);
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(cluster.server(s).stats().active_leases, 0u) << "shard " << s;
+    EXPECT_EQ(cluster.server(s).in_flight_files(), 0u) << "shard " << s;
+    EXPECT_TRUE(cluster.server(s).audit().empty()) << "shard " << s;
+  }
+}
+
+/// A shard endpoint whose connection dies between the two replies of
+/// every ReserveRequest: the fetch runs, then the handler throws, so the
+/// daemon drops the connection and reclaims the reserved lease.
+class DropBeforeGrantEndpoint final : public service::ServingEndpoint {
+ public:
+  explicit DropBeforeGrantEndpoint(BundleServer& server) : server_(&server) {}
+
+  AcquireResult acquire(const Request& request) override {
+    return server_->acquire(request);
+  }
+  service::Reservation reserve(const Request& request) override {
+    service::Reservation reservation = server_->reserve(request);
+    if (reservation.result.status != AcquireStatus::Ok) return reservation;
+    const AcquireResult reserved = reservation.result;
+    return {reserved, std::make_unique<Drop>(std::move(reservation))};
+  }
+  bool release(service::LeaseId lease) override {
+    return server_->release(lease);
+  }
+  [[nodiscard]] service::ServiceStats stats() const override {
+    return server_->stats();
+  }
+  [[nodiscard]] service::MetricsSnapshot metrics() const override {
+    return server_->metrics();
+  }
+  [[nodiscard]] service::EndpointInfo info() const override {
+    return server_->info();
+  }
+  [[nodiscard]] bool legacy_wire() const override { return false; }
+  void close() override { server_->close(); }
+
+ private:
+  class Drop final : public service::PendingGrant {
+   public:
+    explicit Drop(service::Reservation inner) : inner_(std::move(inner)) {}
+    AcquireResult finish() override {
+      (void)service::finish(inner_);
+      throw std::runtime_error("connection dropped before the grant");
+    }
+
+   private:
+    service::Reservation inner_;
+  };
+
+  BundleServer* server_;
+};
+
+TEST(Failover, RemoteShardDroppedAfterTheReservedReplyIsReplannedUnseen) {
+  std::vector<Bytes> sizes(48, 100);
+  const FileCatalog catalog(std::move(sizes));
+  const MassStorageSystem mss(default_tiers(), catalog);
+  const ServiceConfig service = small_service();
+  BundleServer local(service, mss);
+  BundleServer remote(service, mss);
+  DropBeforeGrantEndpoint dropping(remote);
+  service::BundleDaemon daemon(dropping, /*port=*/0, 2);
+
+  std::vector<std::unique_ptr<Shard>> shards;
+  shards.push_back(std::make_unique<LocalShard>(local));
+  shards.push_back(std::make_unique<RemoteShard>(daemon.port()));
+  ClusterRouter router(faulty_config(2, PlacementMode::HashFile), catalog,
+                       service.cache_bytes, std::move(shards));
+  const Request bundle({file_on_shard(router.placement(), 0, 48),
+                        file_on_shard(router.placement(), 1, 48)});
+
+  const AcquireResult r = router.acquire(bundle);
+  ASSERT_EQ(r.status, AcquireStatus::Ok);  // re-planned onto shard 0
+  EXPECT_TRUE(router.shard_down(1));
+  EXPECT_EQ(counter(router.metrics(), "grid.acquire.rollback"), 1u);
+  EXPECT_TRUE(router.release(r.lease));
+
+  for (int i = 0; i < 5000 && daemon.leases_reclaimed() < 1; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(daemon.leases_reclaimed(), 1u);
+  EXPECT_EQ(router.pending_releases(), 0u);
+  for (const BundleServer* server : {&local, &remote}) {
+    EXPECT_EQ(server->stats().active_leases, 0u);
+    EXPECT_EQ(server->in_flight_files(), 0u);
+    EXPECT_TRUE(server->audit().empty());
+  }
+  EXPECT_EQ(local.stats().requests, 2u);  // the rolled-back part + re-plan
 }
 
 }  // namespace

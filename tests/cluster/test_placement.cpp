@@ -80,7 +80,9 @@ TEST(Placement, HashPlanPartitionsTheBundle) {
   std::uint32_t last_shard = 0;
   bool first = true;
   for (const SubRequest& part : plan.parts) {
-    if (!first) EXPECT_GT(part.shard, last_shard);
+    if (!first) {
+      EXPECT_GT(part.shard, last_shard);
+    }
     first = false;
     last_shard = part.shard;
     EXPECT_LT(part.shard, 4u);

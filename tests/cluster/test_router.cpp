@@ -2,7 +2,9 @@
 // tagging, scatter/gather lease conjunction, the partial-grant rollback
 // regression (one shard QueueFull => no shard left pinned), release of
 // unknown leases, merged stats/metrics, close semantics, and a
-// concurrent scatter/gather stress run with live per-shard audit threads.
+// concurrent scatter/gather stress run with live per-shard audit threads,
+// the scatter histograms, a rollback while an earlier part is still
+// staging, and the in-process liveness of overlapping scatters.
 #include "cluster/router.hpp"
 
 #include <gtest/gtest.h>
@@ -10,8 +12,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -300,7 +304,7 @@ TEST(ClusterRouter, ConcurrentScatterGatherStressWithLiveAudits) {
   std::vector<std::thread> workers;
   for (int w = 0; w < 8; ++w) {
     workers.emplace_back([&cluster, &failed, w] {
-      Rng rng(0x57a4e55ULL + static_cast<std::uint64_t>(w));
+      Rng rng(std::uint64_t{0x57a4e55} + static_cast<std::uint64_t>(w));
       std::vector<service::LeaseId> held;
       for (int iter = 0; iter < 200; ++iter) {
         const std::size_t picks = 1 + rng.index(4);
@@ -335,6 +339,175 @@ TEST(ClusterRouter, ConcurrentScatterGatherStressWithLiveAudits) {
   for (std::uint32_t s = 0; s < 4; ++s) {
     EXPECT_TRUE(cluster.server(s).audit().empty()) << "shard " << s;
     EXPECT_EQ(cluster.server(s).stats().active_leases, 0u) << "shard " << s;
+  }
+}
+
+std::uint64_t histogram_count(const service::MetricsSnapshot& metrics,
+                              const std::string& name) {
+  for (const service::NamedHistogram& h : metrics.histograms)
+    if (h.name == name) return h.hist.count();
+  return 0;
+}
+
+TEST(ClusterRouter, ScatterHistogramsCountEveryGrantedScatter) {
+  Cluster cluster = make_cluster(hash_cluster(4), 64, small_service());
+  const Placement& placement = cluster.router->placement();
+  // Singles, scatters over 2..4 shards, and one refused scatter.
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    const AcquireResult single =
+        cluster.router->acquire(Request({file_on_shard(placement, s, 64)}));
+    ASSERT_EQ(single.status, AcquireStatus::Ok);
+    EXPECT_TRUE(cluster.router->release(single.lease));
+  }
+  for (std::uint32_t width = 2; width <= 4; ++width) {
+    std::vector<FileId> files;
+    for (std::uint32_t s = 0; s < width; ++s)
+      files.push_back(file_on_shard(placement, s, 64));
+    const AcquireResult scatter = cluster.router->acquire(Request(files));
+    ASSERT_EQ(scatter.status, AcquireStatus::Ok);
+    EXPECT_TRUE(cluster.router->release(scatter.lease));
+  }
+  cluster.server(3).close();  // its parts are refused: Closed
+  const AcquireResult refused = cluster.router->acquire(
+      Request({file_on_shard(placement, 0, 64), file_on_shard(placement, 3, 64)}));
+  EXPECT_EQ(refused.status, AcquireStatus::Closed);
+  EXPECT_EQ(counter_value(cluster.router->metrics(), "grid.acquire.rollback"),
+            1u);
+
+  const service::MetricsSnapshot metrics = cluster.router->metrics();
+  EXPECT_EQ(counter_value(metrics, "grid.acquire.scatter"), 3u);
+  EXPECT_EQ(histogram_count(metrics, "grid.scatter.reserve_us"), 3u);
+  EXPECT_EQ(histogram_count(metrics, "grid.scatter.grant_us"), 3u);
+  // Merged by name and sorted: the wire encoder accepts the snapshot.
+  for (std::size_t i = 1; i < metrics.histograms.size(); ++i)
+    EXPECT_LT(metrics.histograms[i - 1].name, metrics.histograms[i].name);
+  std::vector<std::uint8_t> frame;
+  EXPECT_NO_THROW(service::encode_frame(service::MetricsReplyMsg{metrics},
+                                        &frame));
+}
+
+TEST(ClusterRouter, RefusedLaterPartRollsBackAnEarlierPartStillStaging) {
+  // Every file sits on the disk-pool tier (50 ms), scaled to 500 ms: the
+  // first part is reserved with its fetch in flight when the second
+  // part's shard refuses. The rollback finishes the first part before it
+  // releases it.
+  ServiceConfig service = small_service();
+  service.max_queue = 1;
+  service.time_scale = 10.0;
+  Cluster cluster = make_cluster(hash_cluster(2), 64, service);
+  const Placement& placement = cluster.router->placement();
+  const FileId first = file_on_shard(placement, 0, 64);
+  const FileId second = file_on_shard(placement, 1, 64);
+
+  cluster.server(1).set_admission_paused(true);
+  AcquireResult filler_result;
+  std::thread filler_thread([&] {
+    filler_result = cluster.server(1).acquire(Request({second}));
+  });
+  for (int i = 0; i < 2000 && cluster.server(1).stats().queue_depth < 1; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(cluster.server(1).stats().queue_depth, 1u);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const AcquireResult result =
+      cluster.router->acquire(Request({first, second}));
+  EXPECT_EQ(result.status, AcquireStatus::QueueFull);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(490));
+  EXPECT_EQ(counter_value(cluster.router->metrics(), "grid.acquire.rollback"),
+            1u);
+  const service::ServiceStats first_stats = cluster.server(0).stats();
+  EXPECT_EQ(first_stats.requests, 1u);
+  EXPECT_EQ(first_stats.active_leases, 0u);
+  // The rolled-back lease was released only after its 500 ms fetch.
+  for (const service::NamedHistogram& h : cluster.server(0).metrics().histograms)
+    if (h.name == "lease.hold_us") {
+      EXPECT_EQ(h.hist.count(), 1u);
+      EXPECT_GE(h.hist.min(), 490'000u);
+    }
+  EXPECT_EQ(cluster.server(0).in_flight_files(), 0u);
+  EXPECT_TRUE(cluster.server(0).audit().empty());
+
+  cluster.server(1).set_admission_paused(false);
+  filler_thread.join();
+  ASSERT_EQ(filler_result.status, AcquireStatus::Ok);
+  EXPECT_TRUE(cluster.server(1).release(filler_result.lease));
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(cluster.server(s).stats().active_leases, 0u);
+    EXPECT_EQ(cluster.server(s).in_flight_files(), 0u);
+    EXPECT_TRUE(cluster.server(s).audit().empty());
+  }
+  EXPECT_EQ(cluster.router->scatter_leases(), 0u);
+}
+
+TEST(ClusterRouter, OverlappingScattersCompleteOnTimeInProcess) {
+  // The in-process liveness case of the two-round scatter. Y reserves
+  // file A on shard 0 (its fetch F in flight) and queues for B on shard
+  // 1. X reserves A on shard 0 too, then C on shard 1, which the value-
+  // density order admits first and which leaves no room for B. X's grant
+  // on shard 0 waits for F, and Y -- the thread that reserved F -- is
+  // stuck behind X's pins on shard 1. F must complete at its ready
+  // instant anyway, or X waits until Y times out.
+  ServiceConfig service = small_service();
+  service.cache_bytes = 199;  // one 100-byte file, with no room for two
+  service.order = service::AdmitOrder::ValueDensity;
+  service.time_scale = 1.0;  // 50 ms per staged file
+  service.timeout_ms = 8000;
+  Cluster cluster = make_cluster(hash_cluster(2), 64, service);
+  const Placement& placement = cluster.router->placement();
+  const FileId a = file_on_shard(placement, 0, 64);
+  FileId b = 0;
+  FileId c = 0;
+  bool have_b = false;
+  for (FileId id = 0; id < 64; ++id) {
+    if (placement.file_shard(id) != 1) continue;
+    if (!have_b) {
+      b = id;
+      have_b = true;
+    } else {
+      c = id;
+      break;
+    }
+  }
+  ASSERT_NE(b, c);
+
+  // C is resident (unpinned) on shard 1, so X's part there is a hit.
+  const AcquireResult warm = cluster.router->acquire(Request({c}));
+  ASSERT_EQ(warm.status, AcquireStatus::Ok);
+  ASSERT_TRUE(cluster.router->release(warm.lease));
+
+  cluster.server(1).set_admission_paused(true);
+  const auto t0 = std::chrono::steady_clock::now();
+  auto y = std::async(std::launch::async, [&] {
+    return cluster.router->acquire(Request({a, b}));
+  });
+  for (int i = 0; i < 4000 && cluster.server(1).stats().queue_depth < 1; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(cluster.server(1).stats().queue_depth, 1u);
+  auto x = std::async(std::launch::async, [&] {
+    return cluster.router->acquire(Request({a, c}));
+  });
+  for (int i = 0; i < 4000 && cluster.server(1).stats().queue_depth < 2; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(cluster.server(1).stats().queue_depth, 2u);
+  cluster.server(1).set_admission_paused(false);
+
+  const AcquireResult x_result = x.get();
+  const auto x_after = std::chrono::steady_clock::now() - t0;
+  ASSERT_EQ(x_result.status, AcquireStatus::Ok);
+  EXPECT_LT(x_after, std::chrono::milliseconds(service.timeout_ms / 4));
+  ASSERT_TRUE(cluster.router->release(x_result.lease));  // lets B in
+
+  const AcquireResult y_result = y.get();
+  ASSERT_EQ(y_result.status, AcquireStatus::Ok);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(service.timeout_ms / 4));
+  ASSERT_TRUE(cluster.router->release(y_result.lease));
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(cluster.server(s).stats().timed_out, 0u) << "shard " << s;
+    EXPECT_EQ(cluster.server(s).stats().active_leases, 0u) << "shard " << s;
+    EXPECT_EQ(cluster.server(s).in_flight_files(), 0u) << "shard " << s;
+    EXPECT_TRUE(cluster.server(s).audit().empty()) << "shard " << s;
   }
 }
 

@@ -1,7 +1,8 @@
 // FetchCoalescer tests: single-flight semantics at the unit level
-// (waiters block until the overlapping transfer completes, refcounted
-// in-flight files, fast path on no overlap) and at the server level (N
-// concurrent misses on one bundle cost exactly one MSS transfer).
+// (waiters block until the overlapping transfer completes or reaches its
+// ready instant, refcounted in-flight files, fast path on no overlap) and
+// at the server level (N concurrent misses on one bundle cost exactly one
+// MSS transfer).
 #include "service/coalesce.hpp"
 
 #include <gtest/gtest.h>
@@ -109,6 +110,27 @@ TEST(FetchCoalescer, InFlightCountsAreRefcounted) {
   EXPECT_EQ(coalescer.in_flight(), 0u);
 }
 
+TEST(FetchCoalescer, WaitNeverOutlastsTheReadyInstant) {
+  // The owner of the transfer never completes it (its thread is blocked
+  // elsewhere); the waiter still returns at the ready instant.
+  FetchCoalescer coalescer;
+  const std::vector<FileId> staged = {1, 2};
+  const auto ready =
+      FetchCoalescer::Clock::now() + std::chrono::milliseconds(100);
+  coalescer.begin_fetch(staged, ready);
+  const std::vector<FileId> bundle = {2, 3};
+  const CoalesceWait wait = coalescer.wait_for(bundle);
+  EXPECT_EQ(wait.waited_files, 1u);
+  EXPECT_GE(FetchCoalescer::Clock::now(), ready);
+  EXPECT_EQ(coalescer.coalesced_waits(), 1u);
+  // Past its ready instant a file has arrived, retired or not.
+  EXPECT_EQ(coalescer.wait_for(bundle).waited_files, 0u);
+  EXPECT_EQ(coalescer.coalesced_waits(), 1u);
+  EXPECT_EQ(coalescer.in_flight(), 2u);
+  coalescer.complete_fetch(staged);
+  EXPECT_EQ(coalescer.in_flight(), 0u);
+}
+
 /// Catalog with file i of size (i+1)*100 bytes.
 FileCatalog sized_catalog(std::size_t count) {
   std::vector<Bytes> sizes;
@@ -177,7 +199,9 @@ void run_shared_miss(bool coalesce) {
   for (const auto& named : m.histograms)
     if (named.name == "acquire.coalesce_us") coalesce_count = named.hist.count();
   EXPECT_EQ(counter_value(m, "acquire.coalesced"), coalesce_count);
-  if (!coalesce) EXPECT_EQ(coalesce_count, 0u);
+  if (!coalesce) {
+    EXPECT_EQ(coalesce_count, 0u);
+  }
   EXPECT_TRUE(server.audit().empty());
 }
 

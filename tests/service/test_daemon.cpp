@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -171,6 +173,69 @@ TEST(BundleDaemon, StopWakesBlockedClients) {
   EXPECT_EQ(fx.server->stats().queue_depth, 1u);
   fx.daemon->stop();
   blocked_client.join();
+}
+
+/// A daemon whose misses stage for 500 ms: every file sits on the
+/// disk-pool tier (50 ms), scaled by 10.
+struct SlowStageDaemon {
+  FileCatalog catalog{{100, 200, 300, 400}};
+  MassStorageSystem mss{default_tiers(), catalog};
+  std::unique_ptr<BundleServer> server;
+  std::unique_ptr<BundleDaemon> daemon;
+
+  SlowStageDaemon() {
+    ServiceConfig config;
+    config.cache_bytes = 1000;
+    config.time_scale = 10.0;
+    server = std::make_unique<BundleServer>(config, mss);
+    daemon = std::make_unique<BundleDaemon>(*server, /*port=*/0, 2);
+  }
+};
+
+TEST(BundleDaemon, ReserveRequestRepliesReservedThenGranted) {
+  SlowStageDaemon fx;
+  BundleClient client(fx.daemon->port());
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const AcquireResult reserved = client.reserve({0, 1});
+  ASSERT_EQ(reserved.status, AcquireStatus::Ok);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(400));
+  EXPECT_FALSE(reserved.request_hit);
+  EXPECT_EQ(fx.server->stats().active_leases, 1u);
+
+  const AcquireResult granted = client.await_grant();
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(490));
+  ASSERT_EQ(granted.status, AcquireStatus::Ok);
+  EXPECT_EQ(granted.lease, reserved.lease);
+
+  // A refused reservation is answered once; the connection stays in step.
+  const AcquireResult refused = client.reserve({0, 99});
+  EXPECT_EQ(refused.status, AcquireStatus::InvalidRequest);
+  EXPECT_THROW((void)client.await_grant(), std::logic_error);
+  EXPECT_TRUE(client.release(granted.lease));
+  EXPECT_EQ(client.stats().active_leases, 0u);
+  EXPECT_TRUE(fx.server->audit().empty());
+}
+
+TEST(BundleDaemon, ReclaimsTheLeaseOfAClientGoneBetweenTheTwoReplies) {
+  SlowStageDaemon fx;
+  {
+    BundleClient client(fx.daemon->port());
+    const AcquireResult reserved = client.reserve({0, 1});
+    ASSERT_EQ(reserved.status, AcquireStatus::Ok);
+    EXPECT_EQ(fx.server->stats().active_leases, 1u);
+    client.disconnect();  // before the grant
+  }
+  for (int i = 0; i < 5000 && fx.daemon->leases_reclaimed() < 1; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(fx.daemon->leases_reclaimed(), 1u);
+  const ServiceStats stats = fx.server->stats();
+  EXPECT_EQ(stats.active_leases, 0u);
+  EXPECT_EQ(stats.leases_released, 1u);
+  EXPECT_EQ(fx.server->in_flight_files(), 0u);
+  EXPECT_TRUE(fx.server->audit().empty());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -304,6 +305,38 @@ TEST(Protocol, PayloadRejectsTruncation) {
                    MsgType::AcquireRequest,
                    {frame.data() + kFrameHeaderBytes,
                     frame.size() - kFrameHeaderBytes - 4}),
+               ProtocolError);
+}
+
+TEST(Protocol, ReserveRequestRoundTrips) {
+  ReserveRequestMsg msg;
+  msg.cookie = 0x0123456789abcdefULL;
+  msg.files = {3, 4294967295u, 0};
+  std::vector<std::uint8_t> frame;
+  encode_frame(msg, &frame);
+  EXPECT_EQ(frame[4], 11u);  // the type byte on the wire
+  const Message decoded = round_trip(msg);
+  ASSERT_TRUE(std::holds_alternative<ReserveRequestMsg>(decoded));
+  const auto& out = std::get<ReserveRequestMsg>(decoded);
+  EXPECT_EQ(out.cookie, msg.cookie);
+  EXPECT_EQ(out.files, msg.files);
+  EXPECT_EQ(message_type(decoded), MsgType::ReserveRequest);
+  EXPECT_STREQ(to_string(MsgType::ReserveRequest), "ReserveRequest");
+}
+
+TEST(Protocol, ReserveRequestRejectsTruncation) {
+  std::vector<std::uint8_t> frame;
+  encode_frame(ReserveRequestMsg{42, {1, 2, 3}}, &frame);
+  const std::span<const std::uint8_t> payload(
+      frame.data() + kFrameHeaderBytes, frame.size() - kFrameHeaderBytes);
+  // Short by part of the last file id, and by the whole file list.
+  EXPECT_THROW((void)decode_payload(MsgType::ReserveRequest,
+                                    payload.first(payload.size() - 1)),
+               ProtocolError);
+  EXPECT_THROW((void)decode_payload(MsgType::ReserveRequest,
+                                    payload.first(12)),
+               ProtocolError);
+  EXPECT_THROW((void)decode_payload(MsgType::ReserveRequest, payload.first(5)),
                ProtocolError);
 }
 

@@ -618,8 +618,9 @@ TEST(BundleServer, SpanStageTimingsSurviveBatchedAdmission) {
   // Histogram counts tie to stats even when admissions were batched.
   const MetricsSnapshot m = server.metrics();
   for (const auto& named : m.histograms) {
-    if (named.name == "acquire.queue_us" || named.name == "acquire.total_us")
+    if (named.name == "acquire.queue_us" || named.name == "acquire.total_us") {
       EXPECT_EQ(named.hist.count(), m.stats.requests) << named.name;
+    }
   }
 }
 
@@ -666,6 +667,83 @@ TEST(BundleServer, ResidentFilesSnapshotIsSortedAndMatchesStats) {
   const std::vector<FileId> resident = server.resident_files();
   EXPECT_EQ(resident, (std::vector<FileId>{0, 1, 3}));
   EXPECT_EQ(resident.size(), server.stats().resident_files);
+}
+
+/// Histogram count of `name` in `m` (0 when absent).
+std::uint64_t histogram_count(const MetricsSnapshot& m, std::string_view name) {
+  for (const auto& named : m.histograms)
+    if (named.name == name) return named.hist.count();
+  return 0;
+}
+
+TEST(BundleServer, ReserveReturnsBeforeTheStageTimeWithTheBundlePinned) {
+  // Every file sits on the disk-pool tier (50 ms to stage); a time scale
+  // of 10 makes that 500 ms of wall time.
+  FileCatalog catalog = sized_catalog(5);
+  MassStorageSystem mss(default_tiers(), catalog);
+  ServiceConfig config;
+  config.cache_bytes = 1500;
+  config.time_scale = 10.0;
+  BundleServer server(config, mss);
+  const Request request({0, 1});
+
+  const auto t0 = std::chrono::steady_clock::now();
+  Reservation reservation = server.reserve(request);
+  const auto reserved_after = std::chrono::steady_clock::now() - t0;
+  ASSERT_EQ(reservation.result.status, AcquireStatus::Ok);
+  ASSERT_NE(reservation.pending, nullptr);
+  EXPECT_LT(reserved_after, std::chrono::milliseconds(400));
+  EXPECT_FALSE(reservation.result.request_hit);
+
+  // Reserved: admitted, resident and pinned under its live lease (audit()
+  // checks that every leased file is resident and pinned), fetch in flight.
+  EXPECT_TRUE(server.audit().empty());
+  const ServiceStats reserved = server.stats();
+  EXPECT_EQ(reserved.requests, 1u);
+  EXPECT_EQ(reserved.active_leases, 1u);
+  EXPECT_EQ(server.resident_files(), (std::vector<FileId>{0, 1}));
+  EXPECT_EQ(server.in_flight_files(), 2u);
+  EXPECT_EQ(histogram_count(server.metrics(), "acquire.total_us"), 0u);
+
+  const AcquireResult granted = finish(reservation);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(490));
+  ASSERT_EQ(granted.status, AcquireStatus::Ok);
+  EXPECT_EQ(granted.lease, reservation.result.lease);
+  EXPECT_EQ(server.in_flight_files(), 0u);
+
+  // A reservation dropped unfinished still runs its fetch phase.
+  const Request other({2});
+  LeaseId dropped_lease = 0;
+  {
+    Reservation dropped = server.reserve(other);
+    ASSERT_EQ(dropped.result.status, AcquireStatus::Ok);
+    dropped_lease = dropped.result.lease;
+  }
+  EXPECT_EQ(server.in_flight_files(), 0u);
+  EXPECT_TRUE(server.release(dropped_lease));
+
+  // Once every reservation is finished the histograms tie to requests.
+  EXPECT_TRUE(server.release(granted.lease));
+  const MetricsSnapshot m = server.metrics();
+  EXPECT_EQ(m.stats.requests, 2u);
+  for (const char* name : {"acquire.queue_us", "acquire.reserve_us",
+                           "acquire.fetch_us", "acquire.total_us"})
+    EXPECT_EQ(histogram_count(m, name), m.stats.requests) << name;
+  EXPECT_TRUE(server.audit().empty());
+}
+
+TEST(BundleServer, RefusedReservationHasNothingToFinish) {
+  FileCatalog catalog = sized_catalog(3);
+  MassStorageSystem mss(default_tiers(), catalog);
+  ServiceConfig config;
+  config.cache_bytes = 1000;
+  BundleServer server(config, mss);
+  Reservation refused = server.reserve(Request({0, 99}));
+  EXPECT_EQ(refused.result.status, AcquireStatus::InvalidRequest);
+  EXPECT_EQ(refused.pending, nullptr);
+  EXPECT_EQ(finish(refused).status, AcquireStatus::InvalidRequest);
+  EXPECT_EQ(server.stats().active_leases, 0u);
 }
 
 }  // namespace

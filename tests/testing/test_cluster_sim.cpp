@@ -135,7 +135,9 @@ TEST(ClusterSim, SerialAndConcurrentAgreeAcrossSeeds) {
         rng.bernoulli(0.5) ? cluster::PlacementMode::BundleAffinity
                            : cluster::PlacementMode::HashFile);
     const std::optional<std::string> diff = check_cluster_equivalence(
-        instance, replay_config(policies[i % 3], 1 + i), cluster);
+        instance,
+        replay_config(policies[i % 3], static_cast<std::uint64_t>(1 + i)),
+        cluster);
     EXPECT_FALSE(diff.has_value()) << *diff;
   }
 }
@@ -265,7 +267,9 @@ TEST(ClusterSim, SerialAndConcurrentAgreeUnderFaults) {
           {faults.events[0].wave + 1 + rng.index(3), faults.events[0].shard,
            false});
     const std::optional<std::string> diff = check_cluster_equivalence(
-        instance, replay_config(policies[i % 3], 1 + i), cluster, faults);
+        instance,
+        replay_config(policies[i % 3], static_cast<std::uint64_t>(1 + i)),
+        cluster, faults);
     EXPECT_FALSE(diff.has_value()) << *diff;
   }
 }
