@@ -7,8 +7,8 @@
 // The N=1 configuration runs the same router code path over a single
 // shard, so the N-shard speedup isolates what sharding buys: N
 // independent admission locks and N policy instances evicting in
-// parallel. scripts/check_bench_cluster.py gates the N=4 / N=1 aggregate
-// throughput ratio (interleaved best-of pairs, same flags otherwise).
+// parallel. It is the harness behind EXPERIMENTS.md's "Cluster" table;
+// the benchmark that gates the router is perfbench's henp-fleet workload.
 //
 //   bench_cluster --shards=4 --connections=16 -n 40000 --json
 #include <algorithm>

@@ -7,16 +7,14 @@
 // per-job cost is bounded by the reuse-gap lengths (clipped to the
 // window), so it plateaus as the trace grows; the reference re-scans the
 // whole prefix per job and grows linearly. The two must agree on every
-// hit count at every sweep point; the bench aborts if they do not.
-// scripts/check_bench_optgen.py gates CI on the emitted BENCH_optgen.json.
+// hit count at every sweep point; the bench aborts if they do not. The
+// test BundleOPTgenTest.IncrementalCostPerJobIsSubLinearInTraceLength
+// pins the smoke sweep's cost counters.
 //
-//   bench_optgen                   # full sweep
-//   bench_optgen --smoke --json    # CI: quick sweep + JSON gate file
+//   bench_optgen            # full sweep
+//   bench_optgen --smoke    # CI: quick sweep
 #include <chrono>
-#include <fstream>
 #include <iostream>
-#include <sstream>
-#include <stdexcept>
 #include <vector>
 
 #include "common/harness.hpp"
@@ -62,39 +60,6 @@ double per_job(std::uint64_t total, std::size_t jobs) {
                    : static_cast<double>(total) / static_cast<double>(jobs);
 }
 
-std::string json_number(double v) {
-  std::ostringstream oss;
-  oss << v;
-  return oss.str();
-}
-
-void write_run(std::ofstream& out, const char* name, const Run& run) {
-  out << "\"" << name << "\": {\"slices\": " << run.slices
-      << ", \"slices_per_job\": " << json_number(run.slices_per_job)
-      << ", \"ns_per_job\": " << json_number(run.ns_per_job) << "}";
-}
-
-void write_json(const std::string& path, std::size_t window,
-                std::span<const Point> points) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  out << "{\n  \"bench\": \"optgen\",\n  \"window\": " << window
-      << ",\n  \"points\": [\n";
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    const Point& point = points[p];
-    out << "    {\"jobs\": " << point.jobs << ", ";
-    write_run(out, "incremental", point.incremental);
-    out << ", ";
-    write_run(out, "reference", point.reference);
-    out << ", \"opt_hits\": " << point.stats.opt_hits
-        << ", \"demand_hits\": " << point.stats.demand_hits
-        << ", \"reuse_hits\": " << point.stats.reuse_hits << "}";
-    if (p + 1 < points.size()) out << ",";
-    out << "\n";
-  }
-  out << "  ]\n}\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -104,9 +69,7 @@ int main(int argc, char** argv) {
   cli.add_option("cache", "cache capacity", "64MiB");
   cli.add_option("window", "oracle ring-buffer horizon, in jobs", "1024");
   cli.add_option("seed", "workload seed", "1");
-  cli.add_option("out", "JSON output path (with --json)", "BENCH_optgen.json");
   cli.add_flag("smoke", "quick CI sweep (fewer, shorter traces)");
-  cli.add_flag("json", "also write the machine-readable JSON gate file");
   cli.add_flag("csv", "emit CSV instead of the aligned table");
 
   try {
@@ -190,11 +153,6 @@ int main(int argc, char** argv) {
       table.print_csv(std::cout);
     } else {
       table.print(std::cout);
-    }
-
-    if (cli.get_flag("json")) {
-      write_json(cli.get_string("out"), window, points);
-      std::cout << "wrote " << cli.get_string("out") << "\n";
     }
     return 0;
   } catch (const std::exception& e) {

@@ -10,7 +10,11 @@ daemon is SIGKILLed mid-run. The run passes only if
   * the router actually rerouted around the dead shard
     (grid.acquire.rerouted > 0 in fbcctl metrics),
   * fbcgrid itself shuts down clean (exit 0: audits pass, the killed
-    child is tolerated, the surviving children exit 0).
+    child is tolerated, the surviving children exit 0),
+  * its shutdown summary counts shard requests, and its single-shard plus
+    scattered acquires add up to the jobs fbcload completed (the killed
+    shard's own request count dies with it, so shard requests are not
+    compared with the job count).
 
 With --placement=hash --time-scale=1e-3 most jobs scatter over several
 shards and every miss stages for milliseconds, so the kill lands while
@@ -79,6 +83,16 @@ def run_load(build, port, requests, connections=8):
         stderr=subprocess.STDOUT,
         text=True,
     )
+
+
+def completed_jobs(out):
+    """The `ok` column of fbcload's report table."""
+    lines = out.splitlines()
+    for i, line in enumerate(lines):
+        header = line.split()
+        if header[:2] == ["scenario", "policy"] and i + 2 < len(lines):
+            return int(lines[i + 2].split()[header.index("ok")])
+    fail("no report table in fbcload output")
 
 
 def rerouted_count(build, port):
@@ -163,6 +177,7 @@ def main():
         sys.stdout.write(second.stdout)
         if second.returncode != 0:
             fail(f"fbcload (degraded fleet) exited {second.returncode}")
+        jobs = completed_jobs(out) + completed_jobs(second.stdout)
 
         rerouted = rerouted_count(build, router_port)
         print(f"smoke_multiprocess: grid.acquire.rerouted = {rerouted}")
@@ -174,6 +189,16 @@ def main():
         sys.stdout.write(out)
         if grid.returncode != 0:
             fail(f"fbcgrid exited {grid.returncode}")
+        m = re.search(r"fbcgrid: served (\d+) shard requests "
+                      r"\((\d+) single-shard, (\d+) scattered", out)
+        if m is None:
+            fail("no shutdown summary in fbcgrid output")
+        served, single, scattered = (int(g) for g in m.groups())
+        if served == 0:
+            fail("fbcgrid summary reports 0 shard requests")
+        if single + scattered != jobs:
+            fail(f"fbcgrid routed {single} single-shard + {scattered} "
+                 f"scattered acquires, fbcload completed {jobs} jobs")
         print("smoke_multiprocess: PASS")
     finally:
         if grid.poll() is None:

@@ -104,7 +104,6 @@ class ClusterRouter final : public service::ServingEndpoint {
     return {service::EndpointRole::Router, 0,
             static_cast<std::uint32_t>(shards_.size()), down_count()};
   }
-  [[nodiscard]] bool legacy_wire() const override { return false; }
 
   /// Closes every shard and fails subsequent acquires.
   void close() override;

@@ -15,7 +15,7 @@ RemoteShard::ClientPtr RemoteShard::checkout() const {
       return client;
     }
   }
-  return std::make_unique<service::BundleClient>(port_, legacy_wire_);
+  return std::make_unique<service::BundleClient>(port_);
 }
 
 void RemoteShard::checkin(ClientPtr client) const {

@@ -88,9 +88,8 @@ class RemoteShard final : public Shard {
  public:
   /// `pool_cap` bounds the idle pool (ClusterConfig::remote_pool_cap):
   /// checkins past the cap drop the connection instead of pooling it.
-  explicit RemoteShard(std::uint16_t port, bool legacy_wire = false,
-                       std::size_t pool_cap = 8)
-      : port_(port), legacy_wire_(legacy_wire), pool_cap_(pool_cap) {}
+  explicit RemoteShard(std::uint16_t port, std::size_t pool_cap = 8)
+      : port_(port), pool_cap_(pool_cap) {}
 
   service::AcquireResult acquire(const Request& request) override;
   service::Reservation reserve(const Request& request) override;
@@ -122,7 +121,6 @@ class RemoteShard final : public Shard {
   void checkin(ClientPtr client) const;
 
   std::uint16_t port_;
-  bool legacy_wire_;
   std::size_t pool_cap_;
 
   // Pool-only lock, below every shard-internal level and never held

@@ -5,17 +5,13 @@
 
 namespace fbc::service {
 
-BundleClient::BundleClient(std::uint16_t port, bool legacy_wire)
-    : fd_(connect_loopback(port)), port_(port), legacy_wire_(legacy_wire) {}
+BundleClient::BundleClient(std::uint16_t port)
+    : fd_(connect_loopback(port)), port_(port) {}
 
 void BundleClient::reconnect() {
   fd_.reset();
   reader_ = FrameReader{};  // discard any half-read frame from before
   fd_ = connect_loopback(port_);
-}
-
-std::optional<Message> BundleClient::read_reply() {
-  return legacy_wire_ ? recv_message(fd_.get()) : reader_.next(fd_.get());
 }
 
 void BundleClient::send(const Message& request) {

@@ -18,10 +18,7 @@ namespace fbc::service {
 class BundleClient {
  public:
   /// Connects to a daemon on 127.0.0.1:`port`. Throws NetError on refusal.
-  /// `legacy_wire` reads replies with unbuffered per-frame recvs (the
-  /// pre-batching transport) -- the serving bench baseline leg, matching
-  /// ServiceConfig::legacy_wire on the daemon side.
-  explicit BundleClient(std::uint16_t port, bool legacy_wire = false);
+  explicit BundleClient(std::uint16_t port);
 
   /// Requests a lease on `files`. Blocks until the daemon replies (which
   /// may take the server-side queue wait plus staging time).
@@ -85,15 +82,14 @@ class BundleClient {
   /// Sends `request` and reads the single reply frame.
   Message round_trip(const Message& request);
 
-  /// Reads one reply frame (buffered, or per-frame in legacy mode).
-  std::optional<Message> read_reply();
+  /// Reads one reply frame through the buffered reader.
+  std::optional<Message> read_reply() { return reader_.next(fd_.get()); }
 
   /// Reads one AcquireReply frame carrying `cookie`.
   AcquireResult read_acquire_reply(std::uint64_t cookie);
 
   UniqueFd fd_;
   std::uint16_t port_ = 0;
-  bool legacy_wire_ = false;
   FrameReader reader_;  ///< buffered: batched replies cost one recv
   std::vector<std::uint8_t> send_buf_;  ///< reused burst-encode scratch
   std::uint64_t next_cookie_ = 1;

@@ -135,24 +135,14 @@ void BundleDaemon::serve_connection(int raw_fd) {
                         to_string(message_type(message)));
   };
 
-  // Baseline transport for the serving bench: unbuffered one-frame
-  // reads, one send per reply, no burst draining.
-  const auto serve_legacy = [&] {
-    for (;;) {
-      std::optional<Message> message = recv_message(fd.get());
-      if (!message.has_value()) break;  // client hung up cleanly
-      if (!handle(*message) || !flush()) break;
-    }
-  };
-
-  // Batched transport: handle the message in hand plus every burst-mate
-  // the last recv already pulled into the reader (pipelined clients
-  // write several frames per burst in one send), then flush all replies
-  // in one send -- one packet and one client wake-up per burst instead
-  // of one per request. The drain is syscall-free: with one outstanding
-  // burst per connection, probing the socket after the last frame would
-  // always come back empty.
-  const auto serve_batched = [&] {
+  // Handle the message in hand plus every burst-mate the last recv
+  // already pulled into the reader (pipelined clients write several
+  // frames per burst in one send), then flush all replies in one send --
+  // one packet and one client wake-up per burst instead of one per
+  // request. The drain is syscall-free: with one outstanding burst per
+  // connection, probing the socket after the last frame would always
+  // come back empty.
+  try {
     FrameReader reader;
     std::optional<Message> message = reader.next(fd.get());
     while (message.has_value()) {
@@ -163,14 +153,6 @@ void BundleDaemon::serve_connection(int raw_fd) {
       } while (alive && reader.buffered_next(&in_hand));
       if (!alive || !flush()) break;
       message = reader.next(fd.get());
-    }
-  };
-
-  try {
-    if (endpoint_.legacy_wire()) {
-      serve_legacy();
-    } else {
-      serve_batched();
     }
   } catch (const std::exception& e) {
     FBC_LOG(Warn) << "fbcd: dropping connection: " << e.what();

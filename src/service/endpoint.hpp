@@ -102,10 +102,6 @@ class ServingEndpoint {
   /// Identity for HelloReply frames.
   [[nodiscard]] virtual EndpointInfo info() const = 0;
 
-  /// True when connections should use the serial one-frame-per-recv
-  /// transport instead of the buffered FrameReader.
-  [[nodiscard]] virtual bool legacy_wire() const = 0;
-
   /// Wakes every queued waiter with Closed and rejects future acquires;
   /// release/stats keep working so draining clients can finish.
   virtual void close() = 0;

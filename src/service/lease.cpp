@@ -41,7 +41,7 @@ void LeaseTable::release_all(DiskCache& cache) {
 }
 
 ShardedLeaseTable::ShardedLeaseTable(std::size_t shards)
-    : lease_shards_(std::max<std::size_t>(1, shards)),
+    : shards_(std::max<std::size_t>(1, shards)),
       file_shards_(std::max<std::size_t>(1, shards)) {}
 
 void ShardedLeaseTable::add_cover(const Request& request) {
@@ -109,7 +109,7 @@ std::optional<Request> ShardedLeaseTable::bundle(LeaseId id) const {
 
 std::vector<std::pair<LeaseId, Request>> ShardedLeaseTable::snapshot() const {
   std::vector<std::pair<LeaseId, Request>> out;
-  for (const LeaseShard& shard : lease_shards_) {
+  for (const LeaseShard& shard : shards_) {
     std::lock_guard<OrderedMutex> lock(shard.lease_mu);
     // fbclint:ignore(L005) -- collection only; callers sort by lease id.
     for (const auto& [id, request] : shard.leases) out.emplace_back(id, request);

@@ -113,7 +113,7 @@ class ShardedLeaseTable {
   }
 
   [[nodiscard]] std::size_t shard_count() const noexcept {
-    return lease_shards_.size();
+    return shards_.size();
   }
 
   /// Copy of the live table (audits; not a consistent point-in-time
@@ -142,10 +142,10 @@ class ShardedLeaseTable {
   };
 
   [[nodiscard]] LeaseShard& lease_shard(LeaseId id) noexcept {
-    return lease_shards_[id % lease_shards_.size()];
+    return shards_[id % shards_.size()];
   }
   [[nodiscard]] const LeaseShard& lease_shard(LeaseId id) const noexcept {
-    return lease_shards_[id % lease_shards_.size()];
+    return shards_[id % shards_.size()];
   }
   [[nodiscard]] FileShard& file_shard(FileId id) noexcept {
     return file_shards_[id % file_shards_.size()];
@@ -156,7 +156,7 @@ class ShardedLeaseTable {
   void add_cover(const Request& request);
   void drop_cover(const Request& request);
 
-  std::vector<LeaseShard> lease_shards_;
+  std::vector<LeaseShard> shards_;
   std::vector<FileShard> file_shards_;
   std::atomic<LeaseId> next_ = 1;
   std::atomic<std::size_t> active_ = 0;

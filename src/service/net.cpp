@@ -206,16 +206,4 @@ bool send_message(int fd, const Message& message) {
   return write_full(fd, frame.data(), frame.size());
 }
 
-std::optional<Message> recv_message(int fd) {
-  std::uint8_t header_bytes[kFrameHeaderBytes];
-  if (!read_full(fd, header_bytes, sizeof header_bytes)) return std::nullopt;
-  const FrameHeader header =
-      decode_header({header_bytes, sizeof header_bytes});
-  std::vector<std::uint8_t> payload(header.payload_len);
-  if (header.payload_len > 0 &&
-      !read_full(fd, payload.data(), payload.size()))
-    throw NetError("connection closed mid-frame");
-  return decode_payload(header.type, payload);
-}
-
 }  // namespace fbc::service

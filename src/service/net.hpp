@@ -93,11 +93,12 @@ enum class TryRecv {
 /// Buffered frame reader. Each recv pulls everything the kernel has, so a
 /// burst of back-to-back frames from a batching peer costs one syscall
 /// instead of two reads (header + payload) per frame. One reader per
-/// descriptor -- bytes buffered here are invisible to recv_message.
+/// descriptor: bytes buffered here are invisible to any other reader.
 class FrameReader {
  public:
   /// Blocking read of the next message. nullopt on clean EOF at a frame
-  /// boundary; throws ProtocolError/NetError like recv_message.
+  /// boundary; throws ProtocolError on a malformed frame and NetError on a
+  /// transport error or EOF mid-frame.
   [[nodiscard]] std::optional<Message> next(int fd);
 
   /// Non-blocking drain: decodes a buffered frame without touching the
@@ -130,9 +131,5 @@ class FrameReader {
 
 /// Encodes and writes one frame. Returns false if the peer is gone.
 [[nodiscard]] bool send_message(int fd, const Message& message);
-
-/// Reads one frame. nullopt on clean EOF at a frame boundary; throws
-/// ProtocolError on malformed frames and NetError on transport errors.
-[[nodiscard]] std::optional<Message> recv_message(int fd);
 
 }  // namespace fbc::service

@@ -16,6 +16,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Lease bookkeeping locks are per shard, never the admission mutex.
+constexpr std::size_t kLeaseTableShards = 16;
+
 /// Bounded exponential backoff: base * 2^(attempt-1), capped at 8x base.
 std::chrono::milliseconds backoff_for(std::uint32_t base_ms,
                                       std::uint32_t attempt) {
@@ -47,7 +50,7 @@ BundleServer::BundleServer(const ServiceConfig& config,
       mss_(&mss),
       transfers_{.max_parallel = config.transfer_streams},
       cache_(config.cache_bytes, mss.catalog()),
-      leases_(config.lease_shards),
+      leases_(kLeaseTableShards),
       fail_rng_(config.seed ^ 0xf3f3f3f3f3f3f3f3ULL),
       spans_(config.span_capacity),
       acquire_ok_slot_(counters_.slot("acquire.ok")),
@@ -165,7 +168,7 @@ void BundleServer::admit_locked(Waiter& waiter) {
     // window between "reserved (files look resident)" and "in-flight set
     // updated". The coalescer mutex is a leaf, so mu_ -> coalescer is the
     // only order that ever occurs.
-    if (config_.coalesce) coalescer_.begin_fetch(missing, waiter.ready_at);
+    coalescer_.begin_fetch(missing, waiter.ready_at);
   }
   waiter.lease = leases_.grant(request);
   for (FileId id : request.files) cache_.pin(id);
@@ -407,18 +410,15 @@ AcquireResult BundleServer::fetch_phase(Admission& admission) {
   // transfer can proceed without the lock while other admissions overlap.
   // It ends at the ready instant stamped at admission, however long this
   // thread took to get here.
-  CoalesceWait cwait;
   if (!fetched.empty()) {
     if (config_.time_scale > 0.0)
       std::this_thread::sleep_until(admission.ready_at);
-    if (config_.coalesce) coalescer_.complete_fetch(fetched);
+    coalescer_.complete_fetch(fetched);
   }
   const auto t_fetched = Clock::now();
-  if (config_.coalesce) {
-    // Our own files are complete by now; this blocks only when another
-    // admission's transfer still has part of our bundle in flight.
-    cwait = coalescer_.wait_for(admission.request->files);
-  }
+  // Our own files are complete by now; this blocks only when another
+  // admission's transfer still has part of our bundle in flight.
+  const CoalesceWait cwait = coalescer_.wait_for(admission.request->files);
 
   const auto t_end = Clock::now();
   span.queue_us = us_between(admission.t0, admission.t_admit);

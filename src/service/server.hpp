@@ -149,26 +149,12 @@ enum class AdmitOrder {
      across up to this many grants with identical decisions. */               \
   X(std::size_t, admission_batch, 8, "admission-batch",                       \
     "queue entries admitted per drain pass (1 = serial)")                     \
-  /* Lease bookkeeping locks are per shard, never the admission mutex. */     \
-  X(std::size_t, lease_shards, 16, "lease-shards",                            \
-    "lease-table shard count")                                                \
-  /* A granted request whose bundle overlaps a transfer still in flight       \
-     waits for that transfer instead of starting its job before the           \
-     bytes arrive; off restores the fire-and-forget grant. */                 \
-  X(bool, coalesce, true, "no-coalesce",                                      \
-    "disable single-flight waiting on overlapping fetches")                   \
   /* Needs a policy_factory that honors it, e.g. the serving tools'           \
      wiring through testing::make_shadow_policy; a divergence throws out      \
      of acquire(). */                                                         \
   X(bool, shadow_diff, false, "shadow-diff",                                  \
     "run the Reference engine in lock-step shadow and assert "                \
     "bit-identical decisions (debug)")                                        \
-  /* One frame per recv pair and one send per reply: the serving bench        \
-     runs its baseline leg with this on, so the speedup is measured           \
-     against the old stack, not a hybrid. */                                  \
-  X(bool, legacy_wire, false, "legacy-wire",                                  \
-    "pre-batching transport: unbuffered per-frame reads, one send per "       \
-    "reply (bench baseline mode)")                                            \
   /* Reported in HelloReply; 0 for a standalone fbcd. */                      \
   X(std::uint32_t, shard_id, 0, "shard-id",                                   \
     "this server's position in its cluster")
@@ -241,10 +227,6 @@ class BundleServer : public ServingEndpoint {
   /// A single shard: shard_id from the config, shard_count 1.
   [[nodiscard]] EndpointInfo info() const override {
     return {EndpointRole::Shard, config_.shard_id, 1};
-  }
-
-  [[nodiscard]] bool legacy_wire() const override {
-    return config_.legacy_wire;
   }
 
   /// Sorted snapshot of the resident file set. The deterministic

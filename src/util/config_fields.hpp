@@ -10,8 +10,7 @@
 //
 // `kind` is the member's type, except ByteSize: a Bytes member whose flag
 // takes a unit suffix ("512MiB"), which a plain count must not accept. A
-// bool row is a bare flag that, when given, flips the member away from its
-// initial value (the row `coalesce = true` pairs with --no-coalesce).
+// bool row starts false and is a bare flag that sets it (--shadow-diff).
 #pragma once
 
 #include <type_traits>

@@ -42,7 +42,7 @@ class TextTable {
   /// Writes the table as a JSON array of row objects keyed by header.
   /// Cells that parse fully as numbers are emitted bare; everything else
   /// becomes a JSON string. This is the machine-readable format the bench
-  /// harnesses emit under --json (see scripts/bench_to_json.py).
+  /// harnesses and fbcload emit under --json.
   void print_json(std::ostream& os) const;
 
   /// Convenience: renders print() into a string.

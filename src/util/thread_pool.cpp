@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace fbc {
 
@@ -44,7 +45,18 @@ void ThreadPool::parallel_for(std::size_t n,
   for (std::size_t i = 0; i < n; ++i) {
     futures.push_back(submit([&fn, i] { fn(i); }));
   }
-  for (auto& f : futures) f.get();
+  // Every task calls `fn` through a reference into the caller's frame, so
+  // none may still be queued or running when this returns -- not even
+  // when an earlier one threw.
+  std::exception_ptr first;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 }  // namespace fbc

@@ -79,8 +79,8 @@ class ThreadPool {
     return future;
   }
 
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  /// Exceptions from tasks are propagated (the first one encountered).
+  /// Runs fn(i) for i in [0, n) across the pool and waits for every task,
+  /// then rethrows the exception of the lowest-indexed task that threw.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

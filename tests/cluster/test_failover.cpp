@@ -375,7 +375,6 @@ class DropBeforeGrantEndpoint final : public service::ServingEndpoint {
   [[nodiscard]] service::EndpointInfo info() const override {
     return server_->info();
   }
-  [[nodiscard]] bool legacy_wire() const override { return false; }
   void close() override { server_->close(); }
 
  private:

@@ -71,7 +71,7 @@ TEST(RemoteShard, SerialCallsReuseOnePooledConnection) {
 TEST(RemoteShard, IdlePoolIsBoundedByCap) {
   DaemonFixture fixture = make_daemon(8);
   constexpr std::size_t kCap = 2;
-  RemoteShard shard(fixture.daemon->port(), false, kCap);
+  RemoteShard shard(fixture.daemon->port(), kCap);
   // Many concurrent callers force the pool past the cap: each one checks
   // a connection out (dialing fresh when the pool is empty) and checks
   // it back in. Whatever the interleaving, checkins past the cap must

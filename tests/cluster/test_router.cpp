@@ -276,7 +276,6 @@ TEST(ClusterRouter, InfoReportsRouterRole) {
   const service::EndpointInfo info = cluster.router->info();
   EXPECT_EQ(info.role, service::EndpointRole::Router);
   EXPECT_EQ(info.shard_count, 3u);
-  EXPECT_FALSE(cluster.router->legacy_wire());
 }
 
 TEST(ClusterRouter, ConcurrentScatterGatherStressWithLiveAudits) {

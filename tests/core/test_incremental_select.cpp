@@ -15,6 +15,7 @@
 
 #include "cache/simulator.hpp"
 #include "core/opt_file_bundle.hpp"
+#include "core/registry.hpp"
 #include "core/request_history.hpp"
 #include "testing/instance_gen.hpp"
 #include "testing/oracles.hpp"
@@ -277,6 +278,46 @@ TEST(IncrementalSelect, RescoresFewerEntriesThanReference) {
   // And, end to end, identical caching behavior.
   EXPECT_EQ(ref.metrics.byte_miss_ratio(), inc.metrics.byte_miss_ratio());
   EXPECT_EQ(ref.victims, inc.victims);
+
+  // The largest point of `bench_select_scaling --smoke` (history 400,
+  // 64 MiB, 800 jobs, seed 1), built the way the bench builds it: at each
+  // policy the incremental engine must rescore no more entries per
+  // decision than the reference scans, with identical decisions.
+  WorkloadConfig config;
+  config.seed = 1;
+  config.cache_bytes = 64 * MiB;
+  config.num_files = 300;
+  config.min_file_bytes = 64 * KiB;
+  config.max_file_frac = 0.01;
+  config.num_requests = 400;
+  config.min_bundle_files = 1;
+  config.max_bundle_files = 8;
+  config.num_jobs = 800;
+  config.popularity = Popularity::Zipf;
+  const Workload smoke = generate_workload(config);
+  const SimulatorConfig smoke_sim{.cache_bytes = 64 * MiB, .warmup_jobs = 0};
+  for (const char* name : {"optfb", "optfb-full"}) {
+    auto replay = [&](SelectEngine engine) {
+      PolicyContext context;
+      context.catalog = &smoke.catalog;
+      context.jobs = smoke.jobs;
+      context.seed = 1;
+      context.select_engine = engine;
+      const PolicyPtr policy = make_policy(name, context);
+      return simulate(smoke_sim, smoke.catalog, *policy, smoke.jobs);
+    };
+    const CacheMetrics reference = replay(SelectEngine::Reference).metrics;
+    const CacheMetrics incremental = replay(SelectEngine::Incremental).metrics;
+    const SelectionCost& scanned = reference.selection_cost();
+    const SelectionCost& rescored = incremental.selection_cost();
+    ASSERT_GT(scanned.decisions, 0u) << name;
+    EXPECT_EQ(scanned.decisions, rescored.decisions) << name;
+    EXPECT_EQ(reference.byte_miss_ratio(), incremental.byte_miss_ratio())
+        << name;
+    // Equal decision counts, so compare the totals: rescored/decision <=
+    // scanned/decision without a division.
+    EXPECT_LE(rescored.entries_rescored, scanned.candidates_scanned) << name;
+  }
 }
 
 TEST(IncrementalSelect, PolicyNameDistinguishesEngines) {

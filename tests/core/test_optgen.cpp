@@ -18,6 +18,7 @@
 #include "testing/oracles.hpp"
 #include "util/rng.hpp"
 #include "workload/trace.hpp"
+#include "workload/workload.hpp"
 
 namespace fbc {
 namespace {
@@ -300,6 +301,56 @@ TEST(BundleOPTgenTest, DriftFixtureIsStrictlyTighterThanClairvoyant) {
   EXPECT_LT(og.opt_hits, og.demand_hits);
   EXPECT_LT(og.demand_hits, og.reuse_hits);
   EXPECT_LT(og.reuse_hits, clair.hits);
+}
+
+TEST(BundleOPTgenTest, IncrementalCostPerJobIsSubLinearInTraceLength) {
+  // The sweep of `bench_optgen --smoke` (64 MiB, window 1024, seed 1).
+  // The incremental oracle's per-job cost is bounded by the reuse-gap
+  // lengths clipped to the window, so it must plateau as the trace grows;
+  // the reference re-scans the prefix per job and must cost more.
+  const Bytes cache = 64 * MiB;
+  const OptgenConfig config{cache, 1024};
+  struct Point {
+    std::size_t jobs;
+    std::uint64_t incremental;  ///< slices scanned
+    std::uint64_t reference;
+  };
+  std::vector<Point> points;
+  for (const std::size_t jobs : {250u, 1000u, 4000u}) {
+    WorkloadConfig wc;
+    wc.seed = 1;
+    wc.cache_bytes = cache;
+    wc.num_files = 300;
+    wc.min_file_bytes = 64 * KiB;
+    wc.max_file_frac = 0.01;
+    wc.num_requests = 400;
+    wc.min_bundle_files = 1;
+    wc.max_bundle_files = 8;
+    wc.num_jobs = jobs;
+    wc.popularity = Popularity::Zipf;
+    const Workload w = generate_workload(wc);
+    const OptgenStats inc = replay_optgen(w.catalog, w.jobs, config);
+    const OptgenReferenceResult ref =
+        testing::reference_optgen(w.catalog, w.jobs, config);
+    EXPECT_EQ(inc.opt_hits, ref.stats.opt_hits) << jobs;
+    EXPECT_EQ(inc.demand_hits, ref.stats.demand_hits) << jobs;
+    EXPECT_EQ(inc.reuse_hits, ref.stats.reuse_hits) << jobs;
+    EXPECT_GT(inc.slices_scanned, 0u) << jobs;
+    EXPECT_GT(ref.stats.slices_scanned, 0u) << jobs;
+    points.push_back({jobs, inc.slices_scanned, ref.stats.slices_scanned});
+  }
+  const auto per_job = [](std::uint64_t slices, std::size_t jobs) {
+    return static_cast<double>(slices) / static_cast<double>(jobs);
+  };
+  const Point& small = points.front();
+  const Point& large = points.back();
+  const double job_growth =
+      static_cast<double>(large.jobs) / static_cast<double>(small.jobs);
+  const double inc_growth = per_job(large.incremental, large.jobs) /
+                            per_job(small.incremental, small.jobs);
+  EXPECT_LE(inc_growth, 0.5 * job_growth);
+  // Same job count at the largest point: compare slices directly.
+  EXPECT_GT(large.reference, large.incremental);
 }
 
 }  // namespace

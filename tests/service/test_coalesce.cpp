@@ -153,16 +153,15 @@ void wait_for_queue_depth(const BundleServer& server, std::uint64_t depth) {
   FAIL() << "queue depth never reached " << depth;
 }
 
-/// N concurrent misses on one bundle: pause admission so all N queue up,
-/// resume, and check that exactly ONE MSS transfer was issued -- the
-/// first admission reserves (and stages) the missing files, the others
-/// see them resident and coalesce.
-void run_shared_miss(bool coalesce) {
+TEST(BundleServerCoalesce, ConcurrentMissesShareOneTransfer) {
+  // N concurrent misses on one bundle: pause admission so all N queue up,
+  // resume, and check that exactly ONE MSS transfer was issued -- the
+  // first admission reserves (and stages) the missing files, the others
+  // see them resident and coalesce.
   FileCatalog catalog = sized_catalog(5);
   MassStorageSystem mss(default_tiers(), catalog);
   ServiceConfig config;
   config.cache_bytes = 1500;
-  config.coalesce = coalesce;
   BundleServer server(config, mss);
 
   server.set_admission_paused(true);
@@ -194,26 +193,12 @@ void run_shared_miss(bool coalesce) {
   EXPECT_EQ(counter_value(m, "acquire.ok"),
             static_cast<std::uint64_t>(kClients));
   // The coalesced-wait histogram and counter move in lock-step whatever
-  // the fetch/grant interleaving was; with coalescing off both stay 0.
+  // the fetch/grant interleaving was.
   std::uint64_t coalesce_count = 0;
   for (const auto& named : m.histograms)
     if (named.name == "acquire.coalesce_us") coalesce_count = named.hist.count();
   EXPECT_EQ(counter_value(m, "acquire.coalesced"), coalesce_count);
-  if (!coalesce) {
-    EXPECT_EQ(coalesce_count, 0u);
-  }
   EXPECT_TRUE(server.audit().empty());
-}
-
-TEST(BundleServerCoalesce, ConcurrentMissesShareOneTransfer) {
-  run_shared_miss(/*coalesce=*/true);
-}
-
-TEST(BundleServerCoalesce, DisablingCoalesceKeepsTransferDedup) {
-  // Transfer dedup comes from the two-phase reserve, not the coalescer:
-  // with coalescing off there is still exactly one transfer, only the
-  // wait-for-arrival guarantee is gone.
-  run_shared_miss(/*coalesce=*/false);
 }
 
 TEST(BundleServerCoalesce, DistinctBundlesStillTransferIndependently) {

@@ -1,9 +1,8 @@
 // FrameReader tests over a Unix socketpair: burst decoding (many frames
 // from one write, one recv), the syscall-free buffered_next drain, the
 // non-blocking try_next state machine, and mid-frame EOF handling. These
-// pin the buffered transport the batched serving loop relies on --
-// legacy_wire bypasses this reader entirely, so its behavior is part of
-// the bench baseline/optimized contract.
+// pin the buffered transport that both the daemon and BundleClient read
+// every frame through.
 #include "service/net.hpp"
 
 #include <gtest/gtest.h>
@@ -120,26 +119,6 @@ TEST(FrameReader, MidFrameEofThrows) {
 
   FrameReader reader;
   EXPECT_THROW((void)reader.next(pair.b.get()), NetError);
-}
-
-TEST(FrameReader, AgreesWithUnbufferedRecvMessage) {
-  // legacy_wire uses recv_message directly; both decoders must agree on
-  // the same bytes.
-  SocketPair buffered;
-  SocketPair legacy;
-  const Message message{acquire_msg(99)};
-  ASSERT_TRUE(send_message(buffered.a.get(), message));
-  ASSERT_TRUE(send_message(legacy.a.get(), message));
-
-  FrameReader reader;
-  const std::optional<Message> via_reader = reader.next(buffered.b.get());
-  const std::optional<Message> via_recv = recv_message(legacy.b.get());
-  ASSERT_TRUE(via_reader.has_value());
-  ASSERT_TRUE(via_recv.has_value());
-  EXPECT_EQ(std::get<AcquireRequestMsg>(*via_reader).cookie,
-            std::get<AcquireRequestMsg>(*via_recv).cookie);
-  EXPECT_EQ(std::get<AcquireRequestMsg>(*via_reader).files,
-            std::get<AcquireRequestMsg>(*via_recv).files);
 }
 
 }  // namespace

@@ -79,8 +79,7 @@ TEST(ServingCommon, ServiceFlagsMapOntoEveryConfigField) {
              "--retry-backoff-ms=20", "--fail-prob=0.25", "--time-scale=0",
              "--streams=2", "--seed=77", "--retry-cap-ms=500",
              "--span-capacity=32", "--engine=reference",
-             "--admission-batch=3", "--lease-shards=5", "--no-coalesce",
-             "--shadow-diff", "--legacy-wire"});
+             "--admission-batch=3", "--shadow-diff"});
   const service::ServiceConfig config = service_config_from_cli(cli);
   EXPECT_EQ(config.cache_bytes, 2u * MiB);
   EXPECT_EQ(config.policy, "lru");
@@ -96,10 +95,7 @@ TEST(ServingCommon, ServiceFlagsMapOntoEveryConfigField) {
   EXPECT_EQ(config.span_capacity, 32u);
   EXPECT_EQ(config.engine, SelectEngine::Reference);
   EXPECT_EQ(config.admission_batch, 3u);
-  EXPECT_EQ(config.lease_shards, 5u);
-  EXPECT_FALSE(config.coalesce);
   EXPECT_TRUE(config.shadow_diff);
-  EXPECT_TRUE(config.legacy_wire);
   // --shadow-diff must install the enginediff policy factory, or the
   // flag would silently do nothing at the server.
   EXPECT_TRUE(static_cast<bool>(config.policy_factory));
@@ -133,10 +129,7 @@ TEST(ServingCommon, DefaultsKeepTheOptimizedServingPath) {
   const service::ServiceConfig config = service_config_from_cli(cli);
   EXPECT_EQ(config.engine, SelectEngine::Incremental);
   EXPECT_GT(config.admission_batch, 1u);
-  EXPECT_GT(config.lease_shards, 1u);
-  EXPECT_TRUE(config.coalesce);
   EXPECT_FALSE(config.shadow_diff);
-  EXPECT_FALSE(config.legacy_wire);
   EXPECT_FALSE(static_cast<bool>(config.policy_factory));
   // No flags at all: every field keeps the struct's own initial value.
   {
@@ -183,8 +176,7 @@ TEST(ServingCommon, ShardDaemonArgsForwardEveryServiceField) {
               "--time-scale=0.001000", "--streams=2", "--seed=77",
               "--retry-cap-ms=500", "--span-capacity=32",
               "--engine=reference", "--admission-batch=3",
-              "--lease-shards=5", "--no-coalesce", "--shadow-diff",
-              "--legacy-wire=true", "--shard-id=9", "--scenario=henp",
+              "--shadow-diff=true", "--shard-id=9", "--scenario=henp",
               "--wseed=7", "--jobs=11", "--tier-mix=0.2,0.3", "--workers=3",
               "--shards=3", "--port=0"});
   const service::ServiceConfig granted = service_config_from_cli(grid);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <future>
 #include <memory>
@@ -181,6 +182,25 @@ TEST(ThreadPoolStress, ParallelForPropagatesFirstException) {
     count.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(count.load(), 32u);
+}
+
+TEST(ThreadPoolStress, ParallelForWaitsForEveryTaskBeforeRethrowing) {
+  // Task 0 throws at once while the others are still asleep: parallel_for
+  // must not rethrow until every one of them has run, since each calls the
+  // caller's `fn` through a reference.
+  ThreadPool pool(2);
+  constexpr std::size_t kTasks = 8;
+  std::atomic<std::size_t> finished{0};
+  try {
+    pool.parallel_for(kTasks, [&finished](std::size_t i) {
+      if (i == 0) throw std::runtime_error("boom");
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      finished.fetch_add(1, std::memory_order_relaxed);
+    });
+    ADD_FAILURE() << "parallel_for swallowed the task exception";
+  } catch (const std::runtime_error&) {
+    EXPECT_EQ(finished.load(), kTasks - 1);
+  }
 }
 
 }  // namespace

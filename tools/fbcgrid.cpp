@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
       shards.reserve(ports.size());
       for (const std::uint16_t p : ports)
         shards.push_back(std::make_unique<cluster::RemoteShard>(
-            p, false, cluster_config.remote_pool_cap));
+            p, cluster_config.remote_pool_cap));
       remote_router = std::make_unique<cluster::ClusterRouter>(
           cluster_config, workload.catalog, service_config.cache_bytes,
           std::move(shards));
@@ -165,9 +165,11 @@ int main(int argc, char** argv) {
       }
     }
 
-    daemon.stop();
+    // The shard totals come from the shards themselves, so read them
+    // before stop() closes the router and with it every RemoteShard.
     const service::ServiceStats stats = router->stats();
     const service::MetricsSnapshot metrics = router->metrics();
+    daemon.stop();
     std::uint64_t single = 0;
     std::uint64_t scatter = 0;
     std::uint64_t rollback = 0;

@@ -56,20 +56,19 @@ struct WorkerResult {
 
 /// Replays job indices i with i % connections == worker over one client.
 ///
-/// With `pipeline` (the default), job i's release and job i+1's acquire
-/// travel in one wire round trip (BundleClient::release_acquire), halving
-/// the per-job round trips -- the dominant loopback cost for small
-/// bundles. Latency accounting keeps the nesting the server-vs-client
-/// percentile cross-check relies on: a job's window opens just before the
-/// frame carrying its acquire is written (for pipelined jobs, inside the
-/// previous job's combined call) and closes when its release reply is
-/// read, so the server-side enqueue->grant span always lies inside it.
+/// Job i's release and job i+1's acquire travel in one wire round trip
+/// (BundleClient::release_acquire), halving the per-job round trips -- the
+/// dominant loopback cost for small bundles. Latency accounting keeps the
+/// nesting the server-vs-client percentile cross-check relies on: a job's
+/// window opens just before the frame carrying its acquire is written
+/// (inside the previous job's combined call, for every job but a worker's
+/// first) and closes when its release reply is read, so the server-side
+/// enqueue->grant span always lies inside it.
 void run_worker(std::uint16_t port, const Workload& workload,
                 std::size_t worker, std::size_t connections,
                 std::size_t total_requests, std::uint64_t hold_ms,
-                std::uint64_t timeout_ms, bool pipeline, bool legacy_wire,
-                WorkerResult* out) {
-  service::BundleClient client(port, legacy_wire);
+                std::uint64_t timeout_ms, WorkerResult* out) {
+  service::BundleClient client(port);
 
   // Honor backpressure: QueueFull is a retry hint, not a failure. Each
   // retry sleeps the server's load-proportional hint, but the *cumulative*
@@ -116,7 +115,7 @@ void run_worker(std::uint16_t port, const Workload& workload,
 
     bool released;
     const std::size_t next_index = i + connections;
-    if (pipeline && next_index < total_requests) {
+    if (next_index < total_requests) {
       const Request& next_job =
           workload.jobs[next_index % workload.jobs.size()];
       next_start = Clock::now();
@@ -174,10 +173,10 @@ const obs::Histogram* histogram_of(const service::MetricsSnapshot& m,
   return nullptr;
 }
 
-/// Server-vs-client observability cross-checks. Only meaningful when this
-/// fbcload produced every request the server ever admitted
-/// (stats.requests == client_ok, always true for --inline); skipped
-/// silently otherwise.
+/// Server-vs-client observability cross-checks. The bucket-sum check runs
+/// on every snapshot; the rest are only meaningful when this fbcload
+/// produced every request the server ever admitted (stats.requests ==
+/// client_ok, always true for --inline) and are skipped silently otherwise.
 ///
 /// The percentile check rests on per-request nesting: the server's
 /// enqueue->grant span lies inside the client's acquire->release window,
@@ -189,6 +188,17 @@ std::vector<std::string> check_metrics(const service::MetricsSnapshot& m,
                                        const std::vector<double>& client_us,
                                        std::uint64_t client_ok) {
   std::vector<std::string> violations;
+  // Holds for any snapshot: every histogram's buckets add up to its count.
+  for (const auto& named : m.histograms) {
+    std::uint64_t in_buckets = 0;
+    for (std::size_t i = 0; i < obs::Histogram::kBucketCount; ++i)
+      in_buckets += named.hist.bucket_count(i);
+    if (in_buckets != named.hist.count())
+      violations.push_back("metrics: histogram " + named.name +
+                           " bucket counts sum to " +
+                           std::to_string(in_buckets) + " != count " +
+                           std::to_string(named.hist.count()));
+  }
   if (m.stats.requests != client_ok || client_ok == 0) return violations;
 
   const struct {
@@ -268,26 +278,15 @@ std::vector<std::string> check_metrics(const service::MetricsSnapshot& m,
   return violations;
 }
 
-/// Renders the metrics histograms, with raw "idx:count|idx:count" bucket
-/// cells that scripts/bench_to_json.py parses back into dicts.
+/// Renders the metrics histograms.
 void print_histograms(const service::MetricsSnapshot& m, bool as_json) {
-  TextTable table(
-      {"histogram", "count", "mean", "p50", "p95", "p99", "max", "buckets"});
+  TextTable table({"histogram", "count", "mean", "p50", "p95", "p99", "max"});
   for (const auto& named : m.histograms) {
     const auto& h = named.hist;
-    std::ostringstream buckets;
-    bool first = true;
-    for (std::size_t i = 0; i < obs::Histogram::kBucketCount; ++i) {
-      if (h.bucket_count(i) == 0) continue;
-      if (!first) buckets << "|";
-      buckets << i << ":" << h.bucket_count(i);
-      first = false;
-    }
     table.add_row({named.name, std::to_string(h.count()),
                    format_double(h.mean()), format_double(h.quantile(0.50)),
                    format_double(h.quantile(0.95)),
-                   format_double(h.quantile(0.99)), std::to_string(h.max()),
-                   buckets.str()});
+                   format_double(h.quantile(0.99)), std::to_string(h.max())});
   }
   if (as_json) {
     table.print_json(std::cout);
@@ -326,9 +325,6 @@ int main(int argc, char** argv) {
   tools::add_cluster_options(cli);
   cli.add_flag("json", "emit the report as JSON");
   cli.add_flag("hist", "also print the server-side metrics histograms");
-  cli.add_flag("no-pipeline",
-               "one round trip per RPC (serial release, pre-batching "
-               "client behavior; bench baseline mode)");
 
   try {
     cli.parse(args);
@@ -376,9 +372,7 @@ int main(int argc, char** argv) {
     for (std::size_t w = 0; w < connections; ++w) {
       threads.emplace_back(run_worker, port, std::cref(workload), w,
                            connections, total_requests, hold_ms,
-                           config.timeout_ms,
-                           !cli.get_flag("no-pipeline"),
-                           config.legacy_wire, &results[w]);
+                           config.timeout_ms, &results[w]);
     }
     for (std::thread& t : threads) t.join();
     const std::chrono::duration<double> wall = Clock::now() - wall_start;

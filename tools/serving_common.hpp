@@ -57,14 +57,14 @@ void add_field(CliParser& cli, const char* flag, const char* help,
 }
 
 /// Parses one field-list row. A flag the command line did not set leaves
-/// the struct's initial value in place; a bool flag flips it.
+/// the struct's initial value in place; a bool flag sets its field.
 template <class Kind>
 void read_field(const CliParser& cli, const char* flag,
                 config_field_t<Kind>& field) {
   using T = config_field_t<Kind>;
   if (!cli.was_set(flag)) return;
   if constexpr (std::is_same_v<T, bool>) {
-    if (cli.get_flag(flag)) field = !field;
+    field = cli.get_flag(flag);
   } else if constexpr (std::is_same_v<Kind, ByteSize>) {
     field = parse_bytes(cli.get_string(flag));
   } else if constexpr (std::is_same_v<T, std::uint32_t>) {
