@@ -25,7 +25,9 @@ struct SelectionCost {
   std::uint64_t candidates_scanned = 0;
   /// Entries whose adjusted relative value v'(r) was recomputed in full.
   std::uint64_t entries_rescored = 0;
-  /// Heap pushes + pops performed by the greedy selector.
+  /// Heap pushes + pops performed by the Reference greedy's lazy heap.
+  /// The incremental engine keeps no heap; it reports the same count,
+  /// derived from its key changes.
   std::uint64_t heap_ops = 0;
 
   void merge(const SelectionCost& other) noexcept {

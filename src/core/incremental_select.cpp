@@ -217,7 +217,7 @@ void IncrementalSelector::collect_candidates(const Request& incoming,
   // reference's stable supported-first partition using the O(1)
   // missing-count instead of cache.supports.
   if (cost != nullptr) cost->candidates_scanned += entries.size();
-  std::vector<std::uint32_t> unsupported;
+  unsupported_.clear();
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (i == exclude) continue;
     if (config.mode == HistoryMode::Window &&
@@ -229,10 +229,10 @@ void IncrementalSelector::collect_candidates(const Request& incoming,
     if (missing_[i] == 0) {
       cand_.push_back(e);
     } else {
-      unsupported.push_back(e);
+      unsupported_.push_back(e);
     }
   }
-  cand_.insert(cand_.end(), unsupported.begin(), unsupported.end());
+  cand_.insert(cand_.end(), unsupported_.begin(), unsupported_.end());
 }
 
 void IncrementalSelector::build_initial_sizes(SelectionCost* cost) {
@@ -357,25 +357,26 @@ SelectionResult IncrementalSelector::run_basic(Bytes budget,
                                                SelectionCost* cost) {
   (void)cost;
   const std::size_t k = cand_.size();
-  std::vector<double> rank(k);
+  rank_.resize(k);
+  order_.resize(k);
   for (std::size_t c = 0; c < k; ++c) {
     if (values_[c] <= 0.0) {
-      rank[c] = -kInf;
+      rank_[c] = -kInf;
     } else {
-      rank[c] = adj_init_[c] > 0.0 ? values_[c] / adj_init_[c] : kInf;
+      rank_[c] = adj_init_[c] > 0.0 ? values_[c] / adj_init_[c] : kInf;
     }
+    order_[c] = static_cast<std::uint32_t>(c);
   }
-  std::vector<std::size_t> order(k);
-  for (std::size_t c = 0; c < k; ++c) order[c] = c;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (rank[a] != rank[b]) return rank[a] > rank[b];
-    return a < b;
-  });
+  std::sort(order_.begin(), order_.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              if (rank_[a] != rank_[b]) return rank_[a] > rank_[b];
+              return a < b;
+            });
 
   SelectionResult result;
   Bytes remaining = budget;
-  for (std::size_t idx : order) {
-    if (rank[idx] == -kInf) break;
+  for (std::size_t idx : order_) {
+    if (rank_[idx] == -kInf) break;
     if (real_init_[idx] <= remaining) {
       remaining -= real_init_[idx];
       result.chosen.push_back(idx);
@@ -389,47 +390,69 @@ SelectionResult IncrementalSelector::run_basic(Bytes budget,
 
 SelectionResult IncrementalSelector::run_resort(
     Bytes budget, std::span<const std::size_t> seed, SelectionCost* cost) {
+  // Tournament tree over the k candidates: leaf c is tree_[k + c], inner
+  // node i holds the winner of tree_[2i] and tree_[2i + 1], and the root
+  // tree_[1] is the live candidate the reference heap pops next. Nodes
+  // hold candidate indices; index k is the empty leaf of a taken or dead
+  // candidate, so a leaf is live exactly when the reference's candidate
+  // is neither selected nor dead (see contract (c) in the header).
   const std::size_t k = cand_.size();
+  const auto out = static_cast<std::uint32_t>(k);
   adj_.assign(adj_init_.begin(), adj_init_.end());
   real_.assign(real_init_.begin(), real_init_.end());
-  selected_.assign(k, 0);
-  dead_.assign(k, 0);
-  version_.assign(k, 0);
   begin_run();
-  std::uint64_t heap_ops = 0;
+  // The reference heap's operation count: one push per live candidate and
+  // per key change, and one pop per push once the run drains the heap.
+  std::uint64_t pushes = 0;
 
-  auto cmp = [](const HeapEntry& a, const HeapEntry& b) {
-    if (a.key != b.key) return a.key < b.key;  // max-heap by key
-    return a.idx > b.idx;                      // then lowest index first
-  };
-  // Reused member storage: push_heap/pop_heap with the same comparator is
-  // operation-for-operation what std::priority_queue does, so pop order
-  // (and thus the chosen set) is identical -- minus the per-call
-  // allocation, which shows up on the serving hot path where this runs
-  // once per cache miss.
-  heap_.clear();
-  auto heap_push = [&](HeapEntry e) {
-    heap_.push_back(e);
-    std::push_heap(heap_.begin(), heap_.end(), cmp);
-    ++heap_ops;
-  };
   auto key_of = [&](std::size_t c) {
     return adj_[c] > 0.0 ? values_[c] / adj_[c] : kInf;
   };
-
-  for (std::size_t c = 0; c < k; ++c) {
-    if (values_[c] <= 0.0) {
-      dead_[c] = 1;
-      continue;
+  // Higher key wins; on a tie the lower index does. The empty leaf's key
+  // is -inf, so every live candidate beats it. Branch-free, because which
+  // child wins is data-dependent and would mispredict.
+  auto winner = [&](std::uint32_t a, std::uint32_t b) {
+    const double ka = key_[a];
+    const double kb = key_[b];
+    return (ka > kb) | ((ka == kb) & (a < b)) ? a : b;
+  };
+  auto live = [&](std::size_t c) { return tree_[k + c] != out; };
+  // Empties leaf c and replays its whole path: a taken or dead candidate
+  // is normally the root, the winner all the way up.
+  auto remove = [&](std::size_t c) {
+    std::size_t node = k + c;
+    tree_[node] = out;
+    for (node /= 2; node > 0; node /= 2)
+      tree_[node] = winner(tree_[2 * node], tree_[2 * node + 1]);
+  };
+  // After leaf j's key grew, j can only win more nodes: climb while it
+  // wins. Above the first node whose winner is unchanged and is not j,
+  // nothing changed either.
+  auto raise = [&](std::uint32_t j) {
+    for (std::size_t node = (k + j) / 2; node > 0; node /= 2) {
+      const std::uint32_t w = tree_[node];
+      if (w != j && winner(j, w) != j) break;
+      tree_[node] = j;
     }
-    heap_push(HeapEntry{key_of(c), static_cast<std::uint32_t>(c), 0});
+  };
+
+  key_.resize(k + 1);
+  key_[k] = -kInf;
+  tree_.assign(2 * std::max<std::size_t>(k, 1), out);
+  for (std::size_t c = 0; c < k; ++c) {
+    if (values_[c] <= 0.0) continue;
+    key_[c] = key_of(c);
+    tree_[k + c] = static_cast<std::uint32_t>(c);
+    ++pushes;
   }
+  for (std::size_t node = k; node-- > 1;)
+    tree_[node] = winner(tree_[2 * node], tree_[2 * node + 1]);
 
   SelectionResult result;
   Bytes remaining = budget;
 
   auto take = [&](std::size_t c) {
-    selected_[c] = 1;
+    remove(c);
     remaining -= real_[c];
     result.chosen.push_back(c);
     result.total_value += values_[c];
@@ -438,19 +461,22 @@ SelectionResult IncrementalSelector::run_resort(
       const Bytes s_real = catalog_->size_of(id);
       for (std::uint32_t p = csr_pos_[slot]; p < csr_pos_[slot + 1]; ++p) {
         const std::uint32_t j = csr_items_[p];
-        if (j == c || selected_[j] != 0 || dead_[j] != 0) continue;
+        if (!live(j)) continue;
         adj_[j] -= s_adj;
         real_[j] -= s_real;
-        ++version_[j];
-        heap_push(HeapEntry{key_of(j), j, version_[j]});
+        key_[j] = key_of(j);
+        raise(j);
+        ++pushes;
       }
     });
   };
 
+  // Seeds are positive-value candidates (see run_seeded), so a seed that
+  // is not live was already taken.
   for (std::size_t idx : seed) {
-    if (selected_[idx] != 0) continue;
+    if (!live(idx)) continue;
     if (real_[idx] > remaining) {
-      if (cost != nullptr) cost->heap_ops += heap_ops;
+      if (cost != nullptr) cost->heap_ops += pushes;
       SelectionResult infeasible;
       infeasible.total_value = -1.0;
       return infeasible;
@@ -458,21 +484,15 @@ SelectionResult IncrementalSelector::run_resort(
     take(idx);
   }
 
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), cmp);
-    const HeapEntry top = heap_.back();
-    heap_.pop_back();
-    ++heap_ops;
-    const std::size_t c = top.idx;
-    if (top.version != version_[c] || selected_[c] != 0 || dead_[c] != 0)
-      continue;
+  while (tree_[1] != out) {
+    const std::size_t c = tree_[1];
     if (real_[c] > remaining) {
-      dead_[c] = 1;
+      remove(c);  // dead: skipped for lack of space
       continue;
     }
     take(c);
   }
-  if (cost != nullptr) cost->heap_ops += heap_ops;
+  if (cost != nullptr) cost->heap_ops += 2 * pushes;
 
   take_covered_files(result);
   if (seed.empty()) apply_single_override(budget, result);

@@ -35,7 +35,10 @@
 // greedy's coverage updates walk a per-decision file -> candidate index
 // (CSR) built over the candidates only, never the whole-history inverted
 // lists. Each greedy run collects every newly covered file once, so the
-// only per-run sort is of the kept files themselves.
+// only per-run sort is of the kept files themselves. The greedy ranks its
+// k candidates in a tournament tree: a key change replays one leaf's path
+// to the root, O(log k), where the reference's lazy-deletion heap pushes
+// a new entry and later pops the stale one only to throw it away.
 //
 // Equivalence contract: select() returns byte-identical SelectionResults
 // to the reference path (same chosen indices, same files, bitwise-equal
@@ -49,11 +52,15 @@
 //       same degrees, same addition order); anything else is recomputed in
 //       bundle order exactly as the reference does (FP addition is not
 //       associative, so reusing a differently-ordered sum would diverge);
-//   (c) the greedy drain itself replays the reference arithmetic: the
-//       heap comparator never lets two live distinct items compare equal
-//       (key, then index), so push-order differences cannot change the
-//       pop order, and coverage subtractions happen in the same bundle
-//       order on the same values.
+//   (c) the greedy drain itself replays the reference arithmetic. The
+//       reference heap pops in (higher key, then lower index) order, and
+//       a candidate's key only grows within a run (coverage only shrinks
+//       its adjusted size), so a stale heap entry never outranks the live
+//       one: each pop that is not thrown away yields the best live
+//       candidate. The tournament tree's root is that candidate by
+//       construction, under the same order. Coverage subtractions happen
+//       in the same bundle order on the same values, and heap_ops is the
+//       reference heap's count, derived from the key changes.
 // tests/core/test_incremental_select.cpp and the fbcfuzz --engine-diff
 // campaign enforce the contract; docs/ALGORITHMS.md discusses the design.
 #pragma once
@@ -201,18 +208,15 @@ class IncrementalSelector {
   std::vector<FileId> covered_;             ///< files covered this run
   std::vector<double> adj_;
   std::vector<Bytes> real_;
-  std::vector<std::uint8_t> selected_;
-  std::vector<std::uint8_t> dead_;
-  std::vector<std::uint32_t> version_;
 
-  /// run_resort's lazy-deletion heap node: candidate index plus its
-  /// version at push time (stale versions are skipped on pop).
-  struct HeapEntry {
-    double key;
-    std::uint32_t idx;
-    std::uint32_t version;
-  };
-  std::vector<HeapEntry> heap_;  ///< reused heap storage (cleared per run)
+  // run_resort's tournament tree (see there), reused across runs.
+  std::vector<std::uint32_t> tree_;  ///< winning candidate per node
+  std::vector<double> key_;          ///< candidate key v'(r) this run
+
+  // run_basic's and collect_candidates' scratch.
+  std::vector<double> rank_;
+  std::vector<std::uint32_t> order_;
+  std::vector<std::uint32_t> unsupported_;
 };
 
 }  // namespace fbc

@@ -116,28 +116,29 @@ bool read_full(int fd, std::uint8_t* data, std::size_t len) {
 }
 
 FrameReader::Fill FrameReader::fill(int fd, bool block) {
-  // Compact once the consumed prefix dominates, so the buffer does not
+  // Compact once the consumed prefix dominates, so the valid bytes do not
   // creep rightward forever on a long-lived connection.
-  if (pos_ > 0 && pos_ >= buf_.size() / 2) {
-    buf_.erase(buf_.begin(),
-               buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
+  if (pos_ > 0 && pos_ >= end_ / 2) {
+    std::memmove(buf_.data(), buf_.data() + pos_, end_ - pos_);
+    end_ -= pos_;
     pos_ = 0;
   }
+  // The buffer keeps its high-water size: it grows (and zero-fills) only
+  // when less than one chunk is free past the valid bytes, so a recv
+  // normally writes into bytes nobody has to initialise first.
   constexpr std::size_t kChunk = 16 * 1024;
-  const std::size_t old_size = buf_.size();
-  buf_.resize(old_size + kChunk);
+  if (buf_.size() - end_ < kChunk) buf_.resize(end_ + kChunk);
   for (;;) {
-    const ssize_t n =
-        ::recv(fd, buf_.data() + old_size, kChunk, block ? 0 : MSG_DONTWAIT);
+    const ssize_t n = ::recv(fd, buf_.data() + end_, buf_.size() - end_,
+                             block ? 0 : MSG_DONTWAIT);
     if (n < 0) {
       if (errno == EINTR) continue;
-      buf_.resize(old_size);
       if (!block && (errno == EAGAIN || errno == EWOULDBLOCK))
         return Fill::Empty;
       if (errno == ECONNRESET) return Fill::Eof;
       throw_errno("recv");
     }
-    buf_.resize(old_size + static_cast<std::size_t>(n));
+    end_ += static_cast<std::size_t>(n);
     return n == 0 ? Fill::Eof : Fill::Data;
   }
 }
@@ -151,10 +152,7 @@ std::optional<Message> FrameReader::take() {
       header.type,
       {buf_.data() + pos_ + kFrameHeaderBytes, header.payload_len});
   pos_ += kFrameHeaderBytes + header.payload_len;
-  if (pos_ == buf_.size()) {
-    buf_.clear();
-    pos_ = 0;
-  }
+  if (pos_ == end_) pos_ = end_ = 0;
   return message;
 }
 

@@ -117,16 +117,15 @@ class FrameReader {
  private:
   enum class Fill { Data, Empty, Eof };
 
-  /// One recv into the tail of the buffer; Empty only when !block.
+  /// One recv into the free tail of the buffer; Empty only when !block.
   Fill fill(int fd, bool block);
   /// Decodes one message if the buffer holds a complete frame.
   [[nodiscard]] std::optional<Message> take();
-  [[nodiscard]] std::size_t have() const noexcept {
-    return buf_.size() - pos_;
-  }
+  [[nodiscard]] std::size_t have() const noexcept { return end_ - pos_; }
 
-  std::vector<std::uint8_t> buf_;
-  std::size_t pos_ = 0;  ///< consumed prefix of buf_
+  std::vector<std::uint8_t> buf_;  ///< high-water storage
+  std::size_t pos_ = 0;            ///< consumed prefix of buf_
+  std::size_t end_ = 0;            ///< end of the received bytes in buf_
 };
 
 /// Encodes and writes one frame. Returns false if the peer is gone.

@@ -9,11 +9,16 @@
 // means the engines never produced results differing in a single bit.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/simulator.hpp"
+#include "core/incremental_select.hpp"
+#include "core/opt_cache_select.hpp"
 #include "core/opt_file_bundle.hpp"
 #include "core/registry.hpp"
 #include "core/request_history.hpp"
@@ -252,6 +257,124 @@ TEST(IncrementalSelect, AgreesOnPinnedHardFixtures) {
   EXPECT_GE(found, 3u) << "fixture corpus missing from " << dir;
 }
 
+// --- Greedy order on hand-built instances ---------------------------------
+
+/// One hand-built selection instance: Full history over `requests` (each
+/// observed once with its value as the weight), an empty cache, and an
+/// incoming request whose files are free.
+struct GreedyCase {
+  std::vector<Bytes> file_sizes;
+  std::vector<std::pair<std::vector<FileId>, double>> requests;
+  std::vector<FileId> incoming;
+  Bytes budget = 0;
+};
+
+/// Runs `variant` through the Reference engine and the incremental
+/// engine, asserts bitwise-equal results and equal heap_ops, and returns
+/// the incremental result. One selector serves every call of a case, so
+/// the engine's reused scratch is exercised across variants.
+SelectionResult greedy_agrees(const GreedyCase& instance,
+                              const FileCatalog& catalog,
+                              RequestHistory& history,
+                              IncrementalSelector& selector,
+                              SelectVariant variant) {
+  const Request incoming(instance.incoming);
+  const DiskCache cache(1 * GiB, catalog);
+
+  std::vector<SelectionItem> items;
+  for (const HistoryEntry* entry : history.candidates(cache, &incoming))
+    items.push_back(SelectionItem{&entry->request, entry->value});
+  const OptCacheSelect reference(catalog, history.degrees());
+  SelectionCost ref_cost;
+  const SelectionResult ref = reference.select(
+      items, instance.budget, variant, incoming.files, &ref_cost);
+
+  SelectionCost inc_cost;
+  const IncrementalSelector::Selection inc = selector.select(
+      incoming, incoming.files, instance.budget, variant, cache, &inc_cost);
+
+  const std::string label = to_string(variant);
+  EXPECT_EQ(inc.candidate_count, items.size()) << label;
+  EXPECT_EQ(inc.result.chosen, ref.chosen) << label;
+  EXPECT_EQ(inc.result.files, ref.files) << label;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(inc.result.total_value),
+            std::bit_cast<std::uint64_t>(ref.total_value))
+      << label;
+  EXPECT_EQ(inc.result.file_bytes, ref.file_bytes) << label;
+  EXPECT_EQ(inc.result.single_request_override, ref.single_request_override)
+      << label;
+  EXPECT_EQ(inc_cost.heap_ops, ref_cost.heap_ops) << label;
+  return inc.result;
+}
+
+/// Builds the case and returns the Resort result, after checking every
+/// variant (the Seeded ones include infeasible-seed early returns).
+SelectionResult resort_after_checking_all_variants(const GreedyCase& instance) {
+  FileCatalog catalog;
+  for (Bytes size : instance.file_sizes) catalog.add_file(size);
+  RequestHistory history(catalog,
+                         RequestHistoryConfig{.mode = HistoryMode::Full});
+  history.set_journaling(true);
+  for (const auto& [files, value] : instance.requests)
+    history.observe(Request(files), value);
+  IncrementalSelector selector(catalog, history);
+
+  SelectionResult resort;
+  for (SelectVariant variant :
+       {SelectVariant::Resort, SelectVariant::Seeded1, SelectVariant::Seeded2,
+        SelectVariant::Basic, SelectVariant::Resort}) {
+    SelectionResult result =
+        greedy_agrees(instance, catalog, history, selector, variant);
+    if (variant == SelectVariant::Resort) resort = std::move(result);
+  }
+  return resort;
+}
+
+TEST(IncrementalSelect,
+     GreedyOrderMatchesReferenceOnTiesInfiniteKeysAndDeadItems) {
+  // Ties: candidates 0 and 1 have bitwise-equal keys (1 / 200) and only
+  // one fits, so the lower index is taken. The pair seed {0, 1} does not
+  // fit: the Seeded variants hit the infeasible-seed early return.
+  {
+    GreedyCase tie;
+    tie.file_sizes = {100, 100, 100, 100, 10};
+    tie.requests = {{{0, 1}, 1.0}, {{2, 3}, 1.0}};
+    tie.incoming = {4};
+    tie.budget = 200;
+    const SelectionResult result = resort_after_checking_all_variants(tie);
+    EXPECT_EQ(result.chosen, (std::vector<std::size_t>{0}));
+  }
+
+  // Infinite keys: taking 0 = {0, 1} covers every non-free file of
+  // 1 = {1, 4} (file 4 is the incoming request's) and of 3 = {0}, so
+  // their adjusted sizes reach 0 and their keys +inf. Both are taken next,
+  // the lower index first, ahead of 2, whose key (2.5 / 100) beat both of
+  // their initial keys (1 / 50).
+  {
+    GreedyCase inf;
+    inf.file_sizes = {100, 100, 100, 100, 10};
+    inf.requests = {{{0, 1}, 4.0}, {{1, 4}, 1.0}, {{2}, 2.5}, {{0}, 1.0}};
+    inf.incoming = {4};
+    inf.budget = 300;
+    const SelectionResult result = resort_after_checking_all_variants(inf);
+    EXPECT_EQ(result.chosen, (std::vector<std::size_t>{0, 1, 3, 2}));
+  }
+
+  // Dead items: after 0 is taken, 1 = {2, 3, 4} ranks next but no longer
+  // fits (240 > 50 bytes left), while the smaller, later 2 = {4} does.
+  // Taking 2 covers file 4, which the dead 1 shares: a dead candidate is
+  // never re-keyed, so it must not count as a heap push either.
+  {
+    GreedyCase dead;
+    dead.file_sizes = {100, 100, 100, 100, 40, 10};
+    dead.requests = {{{0, 1}, 10.0}, {{2, 3, 4}, 6.0}, {{4}, 0.4}};
+    dead.incoming = {5};
+    dead.budget = 250;
+    const SelectionResult result = resort_after_checking_all_variants(dead);
+    EXPECT_EQ(result.chosen, (std::vector<std::size_t>{0, 2}));
+  }
+}
+
 // --- Effort counters ------------------------------------------------------
 
 TEST(IncrementalSelect, RescoresFewerEntriesThanReference) {
@@ -271,7 +394,9 @@ TEST(IncrementalSelect, RescoresFewerEntriesThanReference) {
   const SelectionCost& inc_cost = inc.metrics.selection_cost();
   ASSERT_GT(ref_cost.decisions, 0u);
   EXPECT_EQ(ref_cost.decisions, inc_cost.decisions);
-  // Same greedy runs on both sides => identical heap traffic.
+  // Same greedy runs on both sides => identical heap traffic: the
+  // incremental engine keeps a tournament tree, and reports the count the
+  // reference heap would make from the same key changes.
   EXPECT_EQ(ref_cost.heap_ops, inc_cost.heap_ops);
   // The point of the engine: far fewer full v'(r) recomputations.
   EXPECT_LT(inc_cost.entries_rescored, ref_cost.entries_rescored / 2);

@@ -1,15 +1,18 @@
 // FrameReader tests over a Unix socketpair: burst decoding (many frames
 // from one write, one recv), the syscall-free buffered_next drain, the
-// non-blocking try_next state machine, and mid-frame EOF handling. These
-// pin the buffered transport that both the daemon and BundleClient read
-// every frame through.
+// non-blocking try_next state machine, mid-frame EOF handling, a frame
+// larger than one receive chunk, and buffer compaction with a partial
+// frame left in it. These pin the buffered transport that both the
+// daemon and BundleClient read every frame through.
 #include "service/net.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <variant>
 #include <vector>
@@ -119,6 +122,84 @@ TEST(FrameReader, MidFrameEofThrows) {
 
   FrameReader reader;
   EXPECT_THROW((void)reader.next(pair.b.get()), NetError);
+}
+
+TEST(FrameReader, FrameLargerThanOneChunkArrivesInSeveralWrites) {
+  SocketPair pair;
+  // ~40 KB of payload: more than one 16 KiB receive chunk, so the reader
+  // has to grow its buffer and fill several times for one frame.
+  AcquireRequestMsg big;
+  big.cookie = 9;
+  for (FileId id = 0; id < 10000; ++id) big.files.push_back(id * 7);
+  std::vector<std::uint8_t> stream;
+  encode_frame(Message{big}, &stream);
+  ASSERT_GT(stream.size(), 2u * 16 * 1024);
+  encode_frame(Message{acquire_msg(10)}, &stream);
+  constexpr std::size_t kPiece = 7000;
+  for (std::size_t off = 0; off < stream.size(); off += kPiece) {
+    const std::size_t len = std::min(kPiece, stream.size() - off);
+    ASSERT_TRUE(write_full(pair.a.get(), stream.data() + off, len));
+  }
+  pair.a.reset();
+
+  FrameReader reader;
+  const std::optional<Message> first = reader.next(pair.b.get());
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(cookie_of(*first), 9u);
+  EXPECT_EQ(std::get<AcquireRequestMsg>(*first).files, big.files);
+  const std::optional<Message> second = reader.next(pair.b.get());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(cookie_of(*second), 10u);
+  EXPECT_FALSE(reader.next(pair.b.get()).has_value());
+}
+
+TEST(FrameReader, ManyFramesInUnevenPiecesSurviveCompaction) {
+  SocketPair pair;
+  // Frames of varying size, written in uneven pieces. After each piece
+  // the reader decodes exactly the frames that piece completed, so the
+  // bytes of the next frame -- often just part of its header -- stay in
+  // the buffer behind the consumed ones and are moved to the front by
+  // the next fill's compaction.
+  constexpr std::uint64_t kFrames = 300;
+  std::vector<std::uint8_t> stream;
+  std::vector<std::size_t> frame_end;
+  for (std::uint64_t cookie = 0; cookie < kFrames; ++cookie) {
+    AcquireRequestMsg msg;
+    msg.cookie = cookie;
+    for (FileId id = 0; id <= cookie % 5; ++id) msg.files.push_back(id);
+    encode_frame(Message{msg}, &stream);
+    frame_end.push_back(stream.size());
+  }
+
+  const std::size_t kPieces[] = {1, 3, 2, 9, 4, 17, 6, 31, 5};
+  FrameReader reader;
+  std::size_t written = 0;
+  std::uint64_t decoded = 0;
+  std::size_t partial_headers_left = 0;
+  for (std::size_t i = 0; written < stream.size(); ++i) {
+    const std::size_t len =
+        std::min(kPieces[i % std::size(kPieces)], stream.size() - written);
+    ASSERT_TRUE(write_full(pair.a.get(), stream.data() + written, len));
+    written += len;
+    const std::uint64_t before = decoded;
+    while (decoded < kFrames && frame_end[decoded] <= written) {
+      const std::optional<Message> message = reader.next(pair.b.get());
+      ASSERT_TRUE(message.has_value());
+      EXPECT_EQ(cookie_of(*message), decoded);
+      EXPECT_EQ(std::get<AcquireRequestMsg>(*message).files.size(),
+                decoded % 5 + 1);
+      ++decoded;
+    }
+    const std::size_t frame_start = decoded == 0 ? 0 : frame_end[decoded - 1];
+    if (decoded > before && written > frame_start &&
+        written - frame_start < kFrameHeaderBytes)
+      ++partial_headers_left;
+  }
+  EXPECT_EQ(decoded, kFrames);
+  // The pieces did leave a partial header behind a decoded frame.
+  EXPECT_GT(partial_headers_left, 0u);
+  pair.a.reset();
+  EXPECT_FALSE(reader.next(pair.b.get()).has_value());
 }
 
 }  // namespace
