@@ -12,7 +12,9 @@ one pair to the next. Each run is
 
 with the tree as its working directory, so each tree builds and runs its
 own .bench_build. It prints, per workload, each end-to-end metric's base
-and head medians and their relative change, and exits 1 when
+and head medians, their relative change, the base inter-quartile range
+and in how many pairs the head was better, then every pair's base and
+head values. It exits 1 when
 
   * any run fails, is incorrect or reports failed > 0 operations, or
   * any end-to-end metric's head median is worse than the base median by
@@ -56,6 +58,19 @@ def worsening(metric, base, head):
     return delta / abs(base)
 
 
+def better(metric, base, head):
+    """True when head is strictly better than base."""
+    return head < base if metric["better"] == "lower" else head > base
+
+
+def quartile_range(values):
+    """(first quartile, third quartile) of values, inclusive method."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="base source tree")
@@ -76,9 +91,11 @@ def main():
 
     problems = []
     for workload in workloads:
-        runs = {"base": [], "head": []}
+        # Each pair's metrics by side; a failed run leaves its side out.
+        pairs = []
         for pair in range(args.pairs):
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+            sides = {}
             for side in order:
                 metrics, problem = run(trees[side], workload, args.seed,
                                        args.seconds)
@@ -88,26 +105,41 @@ def main():
                     problems.append(f"{workload}: {side} run {pair + 1}: "
                                     f"{problem}")
                 if metrics:
-                    runs[side].append(metrics)
+                    sides[side] = metrics
+            pairs.append(sides)
+        runs = {side: [p[side] for p in pairs if side in p]
+                for side in ("base", "head")}
         if not runs["base"] or not runs["head"]:
             problems.append(f"{workload}: no result on one side")
             continue
+        complete = [p for p in pairs if len(p) == 2]
         print(f"\n== {workload} ({args.pairs} pairs x {args.seconds:g} s, "
               f"seed {args.seed})")
         print(f"{'metric':<20} {'bound':>6} {'base':>12} {'head':>12} "
-              f"{'worse by':>9}")
+              f"{'worse by':>9} {'base IQR':>12} {'head won':>9}")
         for metric in config["end_to_end"]:
             name, bound = metric["name"], metric["bound"]
-            base = statistics.median(r[name] for r in runs["base"])
+            base_values = [r[name] for r in runs["base"]]
+            base = statistics.median(base_values)
             head = statistics.median(r[name] for r in runs["head"])
             worse = worsening(metric, base, head)
+            q1, q3 = quartile_range(base_values)
+            won = sum(better(metric, p["base"][name], p["head"][name])
+                      for p in complete)
             verdict = "REGRESSED" if worse > bound else ""
             print(f"{name:<20} {bound:>6} {base:>12.6g} {head:>12.6g} "
-                  f"{worse:>+9.3f} {verdict}")
+                  f"{worse:>+9.3f} {q3 - q1:>12.6g} "
+                  f"{f'{won}/{len(complete)}':>9} {verdict}")
             if worse > bound:
                 problems.append(
                     f"{workload}: {name} head median {head:.6g} is worse "
                     f"than base {base:.6g} by {worse:.3f} (bound {bound})")
+        print("per pair, base / head:")
+        for metric in config["end_to_end"]:
+            name = metric["name"]
+            cells = [f"{p['base'][name]:.6g}/{p['head'][name]:.6g}"
+                     if len(p) == 2 else "-" for p in pairs]
+            print(f"  {name:<20} " + "  ".join(cells))
 
     for problem in problems:
         print(f"perfbench_ab: FAIL: {problem}")

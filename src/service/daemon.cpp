@@ -3,6 +3,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
 #include <utility>
 #include <vector>
 
@@ -43,6 +45,14 @@ void BundleDaemon::accept_loop() {
     const int fd = ::accept(listen_fd_.get(), nullptr, nullptr);
     if (fd < 0) {
       if (stopping_.load(std::memory_order_acquire)) break;
+      const int error = errno;
+      if (error == EMFILE || error == ENFILE || error == ENOBUFS ||
+          error == ENOMEM) {
+        // Out of descriptors or memory: accept() fails at once until
+        // some free up, and the connection waits in the backlog, so an
+        // immediate retry would spin a core.
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
       continue;  // EINTR / transient accept failure
     }
     accepted_.fetch_add(1, std::memory_order_relaxed);
