@@ -1,23 +1,35 @@
 // Grand comparison: every registered online policy x popularity x cache
-// scale, run through the declarative experiment framework
-// (src/analysis) with repetition seeds and thread-pool fan-out, reported
-// as mean +- 95% CI byte miss ratios.
+// scale, with repetition seeds and thread-pool fan-out, reported as
+// mean +- 95% CI byte miss and request-hit ratios.
 //
 // This is the kitchen-sink leaderboard the paper's pairwise
 // OptFileBundle-vs-Landlord plots imply; the clairvoyant lookahead bound
 // is included as the floor.
+//
+// Trial i = point * repetitions + rep runs with the i-th seed derived
+// from the master seed, so the tables do not depend on --threads.
 #include <iostream>
+#include <string>
 #include <vector>
 
-#include "analysis/experiment.hpp"
-#include "cache/simulator.hpp"
-#include "core/registry.hpp"
-#include "util/cli.hpp"
-#include "workload/workload.hpp"
+#include "common/harness.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace fbc;
+using namespace fbc::bench;
 
 namespace {
+
+struct Point {
+  std::string policy;
+  std::string popularity;
+  std::string cache_scale;
+};
+
+struct Trial {
+  double byte_miss = 0.0;
+  double request_hit = 0.0;
+};
 
 WorkloadConfig workload_for(const std::string& popularity,
                             std::uint64_t seed, std::size_t jobs) {
@@ -35,6 +47,23 @@ WorkloadConfig workload_for(const std::string& popularity,
   return config;
 }
 
+Trial run_trial(const Point& point, std::uint64_t seed, std::size_t jobs) {
+  const WorkloadConfig wconfig = workload_for(point.popularity, seed, jobs);
+  const Workload w = generate_workload(wconfig);
+  PolicyContext context;
+  context.catalog = &w.catalog;
+  context.jobs = w.jobs;
+  context.seed = seed;
+  PolicyPtr policy = make_policy(point.policy, context);
+  const double scale = std::stod(point.cache_scale);
+  SimulatorConfig config{
+      .cache_bytes =
+          static_cast<Bytes>(scale * static_cast<double>(wconfig.cache_bytes)),
+      .warmup_jobs = default_warmup(jobs)};
+  const CacheMetrics m = simulate(config, w.catalog, *policy, w.jobs).metrics;
+  return {m.byte_miss_ratio(), m.request_hit_ratio()};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -47,55 +76,68 @@ int main(int argc, char** argv) {
   cli.add_flag("csv", "emit CSV");
   cli.parse(argc, argv);
   const std::size_t jobs = cli.get_u64("jobs");
+  const std::size_t reps = cli.get_u64("seeds");
+  if (reps == 0) {
+    std::cerr << "bench_grand_comparison: --seeds must be >= 1\n";
+    return 2;
+  }
 
-  ExperimentGrid grid;
-  grid.add_factor("policy",
-                  {"optfb", "optfb-basic", "optfb-bytes", "landlord",
-                   "landlord-size", "lru", "lru-2", "lfu", "fifo",
-                   "gds-unit", "gdsf", "random", "lookahead"});
-  grid.add_factor("popularity", {"uniform", "zipf"});
-  grid.add_factor("cache_scale", {"0.5", "1", "2"});
+  const std::vector<std::string> popularities = {"uniform", "zipf"};
+  std::vector<Point> points;
+  for (const std::string policy :
+       {"optfb", "optfb-basic", "optfb-bytes", "landlord", "landlord-size",
+        "lru", "lru-2", "lfu", "fifo", "gds-unit", "gdsf", "random",
+        "lookahead"}) {
+    for (const std::string& popularity : popularities) {
+      for (const std::string scale : {"0.5", "1", "2"}) {
+        points.push_back({policy, popularity, scale});
+      }
+    }
+  }
 
-  ExperimentOptions options;
-  options.repetitions = cli.get_u64("seeds");
-  options.master_seed = cli.get_u64("seed");
-  options.threads = cli.get_u64("threads");
+  const std::vector<std::uint64_t> seeds =
+      make_seeds(cli.get_u64("seed"), points.size() * reps);
+  std::vector<Trial> trials(seeds.size());
+  {
+    ThreadPool pool(cli.get_u64("threads"));
+    pool.parallel_for(trials.size(), [&](std::size_t i) {
+      trials[i] = run_trial(points[i / reps], seeds[i], jobs);
+    });
+  }
 
-  const ResultFrame frame = run_experiment(
-      grid, options,
-      [jobs](const ExperimentPoint& point, std::uint64_t seed) {
-        const WorkloadConfig wconfig =
-            workload_for(point.at("popularity"), seed, jobs);
-        const Workload w = generate_workload(wconfig);
-        PolicyContext context;
-        context.catalog = &w.catalog;
-        context.jobs = w.jobs;
-        context.seed = seed;
-        PolicyPtr policy = make_policy(point.at("policy"), context);
-        const double scale = std::stod(point.at("cache_scale"));
-        SimulatorConfig config{
-            .cache_bytes = static_cast<Bytes>(
-                scale * static_cast<double>(wconfig.cache_bytes)),
-            .warmup_jobs = jobs / 10};
-        const CacheMetrics m =
-            simulate(config, w.catalog, *policy, w.jobs).metrics;
-        return Measurements{{"byte_miss", m.byte_miss_ratio()},
-                            {"request_hit", m.request_hit_ratio()}};
-      });
-
-  for (const std::string popularity : {"uniform", "zipf"}) {
-    ResultFrame view = frame.filter("popularity", popularity)
-                           .aggregate({"policy", "cache_scale"}, "byte_miss",
-                                      {Agg::Mean, Agg::Ci95});
-    std::cout << "Byte miss ratio, " << popularity
-              << " popularity (mean over " << options.repetitions
-              << " seeds):\n";
+  const auto print = [&](const std::string& popularity, const char* title,
+                         const TextTable& table) {
+    std::cout << title << ", " << popularity << " popularity (mean over "
+              << reps << " seeds):\n";
     if (cli.get_flag("csv")) {
-      view.print_csv(std::cout);
+      table.print_csv(std::cout);
     } else {
-      view.print(std::cout);
+      table.print(std::cout);
     }
     std::cout << "\n";
+  };
+  for (const std::string& popularity : popularities) {
+    TextTable byte_miss(
+        {"policy", "cache_scale", "byte_miss_mean", "byte_miss_ci95"});
+    TextTable request_hit(
+        {"policy", "cache_scale", "request_hit_mean", "request_hit_ci95"});
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      if (points[p].popularity != popularity) continue;
+      RunningStats miss;
+      RunningStats hit;
+      for (std::size_t rep = 0; rep < reps; ++rep) {
+        miss.add(trials[p * reps + rep].byte_miss);
+        hit.add(trials[p * reps + rep].request_hit);
+      }
+      byte_miss.add_row({points[p].policy, points[p].cache_scale,
+                         format_double(miss.mean()),
+                         format_double(miss.ci95_halfwidth())});
+      request_hit.add_row({points[p].policy, points[p].cache_scale,
+                           format_double(hit.mean()),
+                           format_double(hit.ci95_halfwidth())});
+    }
+    print(popularity, "Byte miss ratio", byte_miss);
+    print(popularity, "Request-hit ratio", request_hit);
   }
   std::cout << "Expectations: lookahead floors every column; optfb leads "
                "the online policies under Zipf; random/fifo trail.\n";

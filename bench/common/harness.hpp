@@ -2,8 +2,10 @@
 //
 // Every bench declares a set of sweep points (a workload + simulator
 // configuration) and a set of policies; the harness runs each
-// (point, policy, seed) simulation -- fanning out across a thread pool --
-// and aggregates the metrics the paper reports.
+// (point, policy, seed) simulation serially and aggregates the metrics
+// the paper reports. Only bench_grand_comparison fans its trials out
+// across a ThreadPool, using make_seeds, RunningStats and TextTable
+// directly.
 #pragma once
 
 #include <cstdint>

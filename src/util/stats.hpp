@@ -38,10 +38,10 @@ class RunningStats {
   /// mean (1.96 * stderr). Zero when fewer than two observations.
   [[nodiscard]] double ci95_halfwidth() const noexcept;
 
-  /// Smallest observation; +inf when empty.
+  /// Smallest observation; 0 when empty.
   [[nodiscard]] double min() const noexcept { return min_; }
 
-  /// Largest observation; -inf when empty.
+  /// Largest observation; 0 when empty.
   [[nodiscard]] double max() const noexcept { return max_; }
 
   /// Sum of all observations.

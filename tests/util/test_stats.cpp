@@ -19,6 +19,8 @@ TEST(RunningStats, EmptyDefaults) {
   EXPECT_EQ(s.variance(), 0.0);
   EXPECT_EQ(s.stddev(), 0.0);
   EXPECT_EQ(s.ci95_halfwidth(), 0.0);
+  EXPECT_EQ(s.min(), 0.0);
+  EXPECT_EQ(s.max(), 0.0);
 }
 
 TEST(RunningStats, SingleObservation) {
