@@ -6,8 +6,11 @@
 // OptFileBundle-vs-Landlord plots imply; the clairvoyant lookahead bound
 // is included as the floor.
 //
-// Trial i = point * repetitions + rep runs with the i-th seed derived
-// from the master seed, so the tables do not depend on --threads.
+// Trials are paired: repetition rep of every point with the same
+// popularity runs on the same workload, seeded by (popularity, rep) from
+// the master seed, so the policies and cache scales at a point are
+// compared on identical job streams and the tables do not depend on
+// --threads.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -22,7 +25,7 @@ namespace {
 
 struct Point {
   std::string policy;
-  std::string popularity;
+  std::size_t popularity = 0;  ///< index into the popularity list
   std::string cache_scale;
 };
 
@@ -47,8 +50,9 @@ WorkloadConfig workload_for(const std::string& popularity,
   return config;
 }
 
-Trial run_trial(const Point& point, std::uint64_t seed, std::size_t jobs) {
-  const WorkloadConfig wconfig = workload_for(point.popularity, seed, jobs);
+Trial run_trial(const Point& point, const std::string& popularity,
+                std::uint64_t seed, std::size_t jobs) {
+  const WorkloadConfig wconfig = workload_for(popularity, seed, jobs);
   const Workload w = generate_workload(wconfig);
   PolicyContext context;
   context.catalog = &w.catalog;
@@ -88,20 +92,23 @@ int main(int argc, char** argv) {
        {"optfb", "optfb-basic", "optfb-bytes", "landlord", "landlord-size",
         "lru", "lru-2", "lfu", "fifo", "gds-unit", "gdsf", "random",
         "lookahead"}) {
-    for (const std::string& popularity : popularities) {
+    for (std::size_t pop = 0; pop < popularities.size(); ++pop) {
       for (const std::string scale : {"0.5", "1", "2"}) {
-        points.push_back({policy, popularity, scale});
+        points.push_back({policy, pop, scale});
       }
     }
   }
 
+  // Seed (popularity, rep) is seeds[popularity * reps + rep].
   const std::vector<std::uint64_t> seeds =
-      make_seeds(cli.get_u64("seed"), points.size() * reps);
-  std::vector<Trial> trials(seeds.size());
+      make_seeds(cli.get_u64("seed"), popularities.size() * reps);
+  std::vector<Trial> trials(points.size() * reps);
   {
     ThreadPool pool(cli.get_u64("threads"));
     pool.parallel_for(trials.size(), [&](std::size_t i) {
-      trials[i] = run_trial(points[i / reps], seeds[i], jobs);
+      const Point& point = points[i / reps];
+      trials[i] = run_trial(point, popularities[point.popularity],
+                            seeds[point.popularity * reps + i % reps], jobs);
     });
   }
 
@@ -116,13 +123,13 @@ int main(int argc, char** argv) {
     }
     std::cout << "\n";
   };
-  for (const std::string& popularity : popularities) {
+  for (std::size_t pop = 0; pop < popularities.size(); ++pop) {
     TextTable byte_miss(
         {"policy", "cache_scale", "byte_miss_mean", "byte_miss_ci95"});
     TextTable request_hit(
         {"policy", "cache_scale", "request_hit_mean", "request_hit_ci95"});
     for (std::size_t p = 0; p < points.size(); ++p) {
-      if (points[p].popularity != popularity) continue;
+      if (points[p].popularity != pop) continue;
       RunningStats miss;
       RunningStats hit;
       for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -136,8 +143,8 @@ int main(int argc, char** argv) {
                            format_double(hit.mean()),
                            format_double(hit.ci95_halfwidth())});
     }
-    print(popularity, "Byte miss ratio", byte_miss);
-    print(popularity, "Request-hit ratio", request_hit);
+    print(popularities[pop], "Byte miss ratio", byte_miss);
+    print(popularities[pop], "Request-hit ratio", request_hit);
   }
   std::cout << "Expectations: lookahead floors every column; optfb leads "
                "the online policies under Zipf; random/fifo trail.\n";

@@ -99,7 +99,11 @@ void DiskCache::unpin(FileId id) {
 }
 
 bool DiskCache::pinned(FileId id) const noexcept {
-  return id < pins_.size() && pins_[id] > 0;
+  return pin_count(id) > 0;
+}
+
+std::uint32_t DiskCache::pin_count(FileId id) const noexcept {
+  return id < pins_.size() ? pins_[id] : 0;
 }
 
 void DiskCache::clear() {

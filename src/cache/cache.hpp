@@ -76,6 +76,9 @@ class DiskCache {
   /// True when `id` has at least one outstanding pin.
   [[nodiscard]] bool pinned(FileId id) const noexcept;
 
+  /// Outstanding pins on `id` (0 for an unpinned or unknown file).
+  [[nodiscard]] std::uint32_t pin_count(FileId id) const noexcept;
+
   /// Files with at least one outstanding pin (unspecified order; stable
   /// between pin-count transitions).
   [[nodiscard]] std::span<const FileId> pinned_files() const noexcept {

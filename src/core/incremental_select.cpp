@@ -4,11 +4,21 @@
 #include <bit>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace fbc {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Empties `result` for a new run, keeping its buffers.
+void clear_result(SelectionResult& result) {
+  result.chosen.clear();
+  result.files.clear();
+  result.total_value = 0.0;
+  result.file_bytes = 0;
+  result.single_request_override = false;
+}
 
 }  // namespace
 
@@ -384,9 +394,7 @@ void IncrementalSelector::apply_single_override(Bytes budget,
   }
 }
 
-SelectionResult IncrementalSelector::run_basic(Bytes budget,
-                                               SelectionCost* cost) {
-  (void)cost;
+void IncrementalSelector::run_basic(Bytes budget, SelectionResult& result) {
   const std::size_t k = cand_.size();
   rank_.resize(k);
   order_.resize(k);
@@ -404,7 +412,7 @@ SelectionResult IncrementalSelector::run_basic(Bytes budget,
               return a < b;
             });
 
-  SelectionResult result;
+  clear_result(result);
   Bytes remaining = budget;
   for (std::size_t idx : order_) {
     if (rank_[idx] == -kInf) break;
@@ -416,11 +424,12 @@ SelectionResult IncrementalSelector::run_basic(Bytes budget,
   }
   finalize_files(result);
   apply_single_override(budget, result);
-  return result;
 }
 
-SelectionResult IncrementalSelector::run_resort(
-    Bytes budget, std::span<const std::size_t> seed, SelectionCost* cost) {
+void IncrementalSelector::run_resort(Bytes budget,
+                                     std::span<const std::size_t> seed,
+                                     SelectionCost* cost,
+                                     SelectionResult& result) {
   // Tournament tree over the k candidates: leaf c is tree_[k + c], inner
   // node i holds the winner of tree_[2i] and tree_[2i + 1], and the root
   // tree_[1] is the live candidate the reference heap pops next. Nodes
@@ -480,7 +489,7 @@ SelectionResult IncrementalSelector::run_resort(
   for (std::size_t node = k; node-- > 1;)
     tree_[node] = winner(tree_[2 * node], tree_[2 * node + 1]);
 
-  SelectionResult result;
+  clear_result(result);
   Bytes remaining = budget;
 
   // Taking c subtracts each newly covered file from every live candidate
@@ -526,9 +535,9 @@ SelectionResult IncrementalSelector::run_resort(
     if (!live(idx)) continue;
     if (real_[idx] > remaining) {
       if (cost != nullptr) cost->heap_ops += pushes;
-      SelectionResult infeasible;
-      infeasible.total_value = -1.0;
-      return infeasible;
+      clear_result(result);
+      result.total_value = -1.0;  // infeasible
+      return;
     }
     take(idx);
   }
@@ -545,17 +554,16 @@ SelectionResult IncrementalSelector::run_resort(
 
   take_covered_files(result);
   if (seed.empty()) apply_single_override(budget, result);
-  return result;
 }
 
-SelectionResult IncrementalSelector::run_seeded(Bytes budget, int k,
-                                                SelectionCost* cost) {
-  SelectionResult best = run_resort(budget, {}, cost);
+void IncrementalSelector::run_seeded(Bytes budget, int k, SelectionCost* cost,
+                                     SelectionResult& best) {
+  run_resort(budget, {}, cost, best);
   const std::size_t n = cand_.size();
   std::vector<std::size_t> seed;
   auto consider = [&](std::span<const std::size_t> forced) {
-    SelectionResult candidate = run_resort(budget, forced, cost);
-    if (candidate.total_value > best.total_value) best = std::move(candidate);
+    run_resort(budget, forced, cost, seeded_);
+    if (seeded_.total_value > best.total_value) std::swap(best, seeded_);
   };
   for (std::size_t i = 0; i < n; ++i) {
     if (values_[i] <= 0.0) continue;
@@ -569,12 +577,12 @@ SelectionResult IncrementalSelector::run_seeded(Bytes budget, int k,
       }
     }
   }
-  return best;
 }
 
 IncrementalSelector::Selection IncrementalSelector::select(
     const Request& incoming, std::span<const FileId> free_files, Bytes budget,
-    SelectVariant variant, const DiskCache& cache, SelectionCost* cost) {
+    SelectVariant variant, const DiskCache& cache, SelectionCost* cost,
+    SelectionResult recycled) {
   if (!synced_) {
     sync(cache);
   } else {
@@ -586,20 +594,19 @@ IncrementalSelector::Selection IncrementalSelector::select(
   collect_candidates(incoming, cost);
   build_initial_sizes(cost);
 
-  Selection out;
-  out.candidate_count = cand_.size();
+  Selection out{std::move(recycled), cand_.size()};
   switch (variant) {
     case SelectVariant::Basic:
-      out.result = run_basic(budget, cost);
+      run_basic(budget, out.result);
       break;
     case SelectVariant::Resort:
-      out.result = run_resort(budget, {}, cost);
+      run_resort(budget, {}, cost, out.result);
       break;
     case SelectVariant::Seeded1:
-      out.result = run_seeded(budget, 1, cost);
+      run_seeded(budget, 1, cost, out.result);
       break;
     case SelectVariant::Seeded2:
-      out.result = run_seeded(budget, 2, cost);
+      run_seeded(budget, 2, cost, out.result);
       break;
   }
   return out;

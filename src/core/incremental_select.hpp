@@ -125,11 +125,14 @@ class IncrementalSelector {
   /// Runs the selection the reference path would run with the same inputs:
   /// candidates from the shared history against `cache`, `incoming`
   /// excluded, files in `free_files` free, `budget` bytes of capacity.
-  /// Counters are accumulated into `cost` when non-null.
+  /// Counters are accumulated into `cost` when non-null. The result is
+  /// built in the storage of `recycled`, whose contents are ignored:
+  /// handing back the previous decision's result reuses its buffers.
   [[nodiscard]] Selection select(const Request& incoming,
                                  std::span<const FileId> free_files,
                                  Bytes budget, SelectVariant variant,
-                                 const DiskCache& cache, SelectionCost* cost);
+                                 const DiskCache& cache, SelectionCost* cost,
+                                 SelectionResult recycled = {});
 
   /// Drops all derived state; the next select() resynchronizes from the
   /// history and cache (used by policy reset()).
@@ -161,12 +164,12 @@ class IncrementalSelector {
   void cover(std::size_t c, Fn&& fn);
   /// Writes the covered files, in id order, and their bytes into result.
   void take_covered_files(SelectionResult& result);
-  [[nodiscard]] SelectionResult run_basic(Bytes budget, SelectionCost* cost);
-  [[nodiscard]] SelectionResult run_resort(Bytes budget,
-                                           std::span<const std::size_t> seed,
-                                           SelectionCost* cost);
-  [[nodiscard]] SelectionResult run_seeded(Bytes budget, int k,
-                                           SelectionCost* cost);
+  // The greedy runs overwrite `result` in place, keeping its buffers.
+  void run_basic(Bytes budget, SelectionResult& result);
+  void run_resort(Bytes budget, std::span<const std::size_t> seed,
+                  SelectionCost* cost, SelectionResult& result);
+  void run_seeded(Bytes budget, int k, SelectionCost* cost,
+                  SelectionResult& best);
   /// Collects the chosen bundles' files (run_basic and Algorithm 1 step 3;
   /// run_resort collects them as it covers them).
   void finalize_files(SelectionResult& result);
@@ -229,6 +232,9 @@ class IncrementalSelector {
   // (all zero between takes).
   std::vector<std::uint32_t> touched_;
   std::vector<std::uint8_t> is_touched_;
+
+  // run_seeded's scratch: the result of the seeded run under way.
+  SelectionResult seeded_;
 
   // run_basic's and collect_candidates' scratch.
   std::vector<double> rank_;

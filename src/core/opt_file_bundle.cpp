@@ -51,11 +51,11 @@ std::vector<FileId> OptFileBundlePolicy::select_victims(const Request& request,
   // Files pinned by other in-flight jobs (multi-slot SRM, cluster nodes)
   // cannot be evicted: they stay regardless, so they are free to the
   // selection but their bytes shrink the budget.
-  std::vector<FileId> reserved(request.files);
+  reserved_.assign(request.files.begin(), request.files.end());
   Bytes pinned_bytes = 0;
   for (FileId id : cache.pinned_files()) {
     if (!request.contains(id)) {
-      reserved.push_back(id);
+      reserved_.push_back(id);
       pinned_bytes += catalog_->size_of(id);
     }
   }
@@ -68,8 +68,9 @@ std::vector<FileId> OptFileBundlePolicy::select_victims(const Request& request,
 
   ++cost_.decisions;
   if (config_.engine == SelectEngine::Incremental) {
-    IncrementalSelector::Selection selection = incremental_->select(
-        request, reserved, budget, config_.variant, cache, &cost_);
+    IncrementalSelector::Selection selection =
+        incremental_->select(request, reserved_, budget, config_.variant,
+                             cache, &cost_, std::move(last_selection_));
     last_candidates_ = selection.candidate_count;
     last_selection_ = std::move(selection.result);
   } else {
@@ -95,7 +96,7 @@ std::vector<FileId> OptFileBundlePolicy::select_victims(const Request& request,
 
     OptCacheSelect selector(*catalog_, history_.degrees());
     last_selection_ =
-        selector.select(items, budget, config_.variant, reserved, &cost_);
+        selector.select(items, budget, config_.variant, reserved_, &cost_);
   }
   const SelectionResult& keep = last_selection_;
 
@@ -105,7 +106,7 @@ std::vector<FileId> OptFileBundlePolicy::select_victims(const Request& request,
   ++keep_epoch_;
   if (keep_mark_.size() < catalog_->count())
     keep_mark_.resize(catalog_->count(), 0);
-  for (FileId id : reserved) keep_mark_[id] = keep_epoch_;
+  for (FileId id : reserved_) keep_mark_[id] = keep_epoch_;
   for (FileId id : keep.files) keep_mark_[id] = keep_epoch_;
   std::vector<FileId> victims;
   for (FileId id : cache.resident_files()) {

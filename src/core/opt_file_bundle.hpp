@@ -127,8 +127,11 @@ class OptFileBundlePolicy : public ReplacementPolicy {
   SelectionResult last_selection_;
   std::size_t last_candidates_ = 0;
   std::vector<FileId> pending_prefetch_;
-  // select_victims scratch: keep_mark_[id] == keep_epoch_ marks a file that
-  // stays (reserved or selected) in the current decision.
+  // select_victims scratch: the files that stay whatever the selection
+  // keeps (the incoming bundle and files pinned elsewhere), and
+  // keep_mark_[id] == keep_epoch_ marks a file that stays (reserved or
+  // selected) in the current decision.
+  std::vector<FileId> reserved_;
   std::uint64_t keep_epoch_ = 0;
   std::vector<std::uint64_t> keep_mark_;
 };

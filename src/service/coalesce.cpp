@@ -7,13 +7,18 @@ namespace fbc::service {
 void FetchCoalescer::begin_fetch(std::span<const FileId> files,
                                  Clock::time_point ready_at) {
   if (files.empty()) return;
+  const FileId largest = *std::max_element(files.begin(), files.end());
   std::lock_guard<OrderedMutex> lock(inflight_mu_);
   ++transfers_;
+  if (flights_.size() <= largest) flights_.resize(largest + 1);
   for (FileId id : files) {
-    Flight& flight = in_flight_[id];
-    flight.ready_at =
-        flight.owners == 0 ? ready_at : std::max(flight.ready_at, ready_at);
-    ++flight.owners;
+    Flight& flight = flights_[id];
+    if (flight.owners++ == 0) {
+      flight.ready_at = ready_at;
+      ++in_flight_;
+    } else {
+      flight.ready_at = std::max(flight.ready_at, ready_at);
+    }
   }
 }
 
@@ -22,34 +27,31 @@ void FetchCoalescer::complete_fetch(std::span<const FileId> files) {
   {
     std::lock_guard<OrderedMutex> lock(inflight_mu_);
     for (FileId id : files) {
-      const auto it = in_flight_.find(id);
-      if (it != in_flight_.end() && --it->second.owners == 0)
-        in_flight_.erase(it);
+      if (id >= flights_.size() || flights_[id].owners == 0) continue;
+      if (--flights_[id].owners == 0) --in_flight_;
     }
   }
   cv_.notify_all();
+}
+
+bool FetchCoalescer::pending_locked(FileId id, Clock::time_point now) const {
+  // A file past its ready instant has arrived, retired or not.
+  return id < flights_.size() && flights_[id].owners > 0 &&
+         flights_[id].ready_at > now;
 }
 
 CoalesceWait FetchCoalescer::wait_for(std::span<const FileId> files) {
   CoalesceWait result;
   if (files.empty()) return result;
   std::unique_lock<OrderedMutex> lock(inflight_mu_);
-  // A file past its ready instant has arrived, retired or not.
-  const auto pending = [&](FileId id, Clock::time_point now) {
-    const auto it = in_flight_.find(id);
-    return it != in_flight_.end() && it->second.ready_at > now;
-  };
-  const bool overlap =
-      std::any_of(files.begin(), files.end(),
-                  [&](FileId id) { return in_flight_.count(id) != 0; });
-  if (!overlap) return result;  // the fast path reads no clock
+  if (in_flight_ == 0) return result;  // the fast path reads no clock
   const auto start = Clock::now();
   std::size_t overlapping = 0;
   Clock::time_point latest = start;
   for (FileId id : files) {
-    if (!pending(id, start)) continue;
+    if (!pending_locked(id, start)) continue;
     ++overlapping;
-    latest = std::max(latest, in_flight_.find(id)->second.ready_at);
+    latest = std::max(latest, flights_[id].ready_at);
   }
   if (overlapping == 0) return result;
   ++coalesced_waits_;
@@ -57,7 +59,7 @@ CoalesceWait FetchCoalescer::wait_for(std::span<const FileId> files) {
   const auto arrived = [&] {
     const auto now = Clock::now();
     return std::none_of(files.begin(), files.end(),
-                        [&](FileId id) { return pending(id, now); });
+                        [&](FileId id) { return pending_locked(id, now); });
   };
   if (latest == Clock::time_point::max())
     cv_.wait(lock, arrived);
@@ -82,7 +84,12 @@ std::uint64_t FetchCoalescer::coalesced_waits() const {
 
 std::size_t FetchCoalescer::in_flight() const {
   std::lock_guard<OrderedMutex> lock(inflight_mu_);
-  return in_flight_.size();
+  return in_flight_;
+}
+
+std::size_t FetchCoalescer::table_size() const {
+  std::lock_guard<OrderedMutex> lock(inflight_mu_);
+  return flights_.size();
 }
 
 }  // namespace fbc::service

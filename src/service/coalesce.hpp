@@ -22,17 +22,20 @@
 // complete_fetch() then only retires the entry; it wakes the waiters of
 // transfers registered without a ready instant.
 //
-// The internal mutex (level 30 in the docs/SERVING.md lock hierarchy) is
-// a leaf: it is never held while any other lock is taken, and waits
-// happen outside the server's admission mutex entirely, so coalescing
-// adds no contention to the grant path.
+// The in-flight table is indexed by FileId and grows only to the largest
+// id ever begun, so begin_fetch and complete_fetch allocate nothing in
+// steady state, and a count of files in flight lets wait_for return at
+// once when nothing is. The internal mutex (level 30 in the
+// docs/SERVING.md lock hierarchy) is a leaf: it is never held while any
+// other lock is taken, and waits happen outside the server's admission
+// mutex entirely, so coalescing adds no contention to the grant path.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
+#include <vector>
 
 #include "cache/types.hpp"
 #include "util/ordered_mutex.hpp"
@@ -60,7 +63,8 @@ class FetchCoalescer {
   void begin_fetch(std::span<const FileId> files,
                    Clock::time_point ready_at = Clock::time_point::max());
 
-  /// Retires `files` and wakes every waiter.
+  /// Retires `files` and wakes every waiter. A file not in flight (never
+  /// begun, or already completed by every owner) is left as it is.
   void complete_fetch(std::span<const FileId> files);
 
   /// Blocks until no file of `files` is in-flight: each overlapping file
@@ -78,7 +82,12 @@ class FetchCoalescer {
   [[nodiscard]] std::uint64_t coalesced_waits() const;
 
   /// Files currently registered in-flight, ready or not (tests/audit).
+  /// O(1): the table keeps the count.
   [[nodiscard]] std::size_t in_flight() const;
+
+  /// Length of the in-flight table: one past the largest id ever begun
+  /// (tests).
+  [[nodiscard]] std::size_t table_size() const;
 
  private:
   struct Flight {
@@ -86,11 +95,18 @@ class FetchCoalescer {
     Clock::time_point ready_at{};   ///< latest owner's ready instant
   };
 
+  /// True when file `id` has an owner and its bytes are not ready at
+  /// `now`.
+  // fbc:requires(inflight_mu_)
+  [[nodiscard]] bool pending_locked(FileId id, Clock::time_point now) const;
+
   // fbc:lock-level(30)
-  // fbc:guards(in_flight_, transfers_, coalesced_waits_)
+  // fbc:guards(flights_, in_flight_, transfers_, coalesced_waits_)
   mutable OrderedMutex inflight_mu_{30, "FetchCoalescer::inflight_mu_"};
   std::condition_variable_any cv_;
-  std::unordered_map<FileId, Flight> in_flight_;
+  /// Indexed by FileId; a file is in flight while its owners > 0.
+  std::vector<Flight> flights_;
+  std::size_t in_flight_ = 0;  ///< files with owners > 0
   std::uint64_t transfers_ = 0;
   std::uint64_t coalesced_waits_ = 0;
 };

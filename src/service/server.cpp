@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <thread>
 #include <unordered_set>
@@ -15,9 +16,6 @@ namespace fbc::service {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Lease bookkeeping locks are per shard, never the admission mutex.
-constexpr std::size_t kLeaseTableShards = 16;
 
 /// Bounded exponential backoff: base * 2^(attempt-1), capped at 8x base.
 std::chrono::milliseconds backoff_for(std::uint32_t base_ms,
@@ -50,7 +48,6 @@ BundleServer::BundleServer(const ServiceConfig& config,
       mss_(&mss),
       transfers_{.max_parallel = config.transfer_streams},
       cache_(config.cache_bytes, mss.catalog()),
-      leases_(kLeaseTableShards),
       fail_rng_(config.seed ^ 0xf3f3f3f3f3f3f3f3ULL),
       spans_(config.span_capacity),
       acquire_ok_slot_(counters_.slot("acquire.ok")),
@@ -170,9 +167,10 @@ void BundleServer::admit_locked(Waiter& waiter) {
     // only order that ever occurs.
     coalescer_.begin_fetch(missing, waiter.ready_at);
   }
-  waiter.lease = leases_.grant(request);
-  for (FileId id : request.files) cache_.pin(id);
   waiter.fetched = std::move(missing);
+  // The grant instant ends the reserve stage and starts lease.hold_us.
+  waiter.t_reserved = Clock::now();
+  waiter.lease = leases_.grant(request, cache_, waiter.t_reserved);
 }
 
 std::size_t BundleServer::drain_locked() {
@@ -203,8 +201,6 @@ std::size_t BundleServer::drain_locked() {
         static_cast<double>(admissions_ - head.admissions_at_enqueue));
     admit_locked(head);
     ++admissions_;
-    head.t_reserved = Clock::now();
-    grant_times_.emplace(head.lease, head.t_reserved);
     head.state = Waiter::State::Admitted;
     ++admitted;
   }
@@ -449,25 +445,19 @@ AcquireResult BundleServer::fetch_phase(Admission& admission) {
 
 bool BundleServer::release(LeaseId lease) {
   std::unique_lock<OrderedMutex> lock(mu_);
-  // take() nests the lease-shard lock under mu_ (the one place that
-  // order occurs; the reverse never does). Holding mu_ across the unpin
-  // keeps "lease gone" and "pins gone" atomic for audits and admissions.
-  std::optional<Request> bundle = leases_.take(lease);
-  if (!bundle.has_value()) {
+  // The lease and its pins go together under mu_, so audits and
+  // admissions never see one without the other.
+  Clock::time_point granted_at;
+  if (!leases_.release(lease, cache_, &granted_at)) {
     lock.unlock();
     std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
     ++*release_unknown_slot_;
     return false;
   }
-  for (FileId id : bundle->files) cache_.unpin(id);
   ++released_;
-  std::uint64_t held_us = 0;
-  if (auto it = grant_times_.find(lease); it != grant_times_.end()) {
-    held_us = us_between(it->second, Clock::now());
-    grant_times_.erase(it);
-  }
   cv_.notify_all();
   lock.unlock();
+  const std::uint64_t held_us = us_between(granted_at, Clock::now());
   std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
   ++*release_ok_slot_;
   hold_us_.record(held_us);
@@ -575,26 +565,28 @@ std::vector<std::string> BundleServer::audit() const {
         std::to_string(pinned_count) + " files, " +
         std::to_string(pinned_recount) + " bytes)");
 
-  // Leases: every leased file must be resident and pinned; every pinned
-  // file must be covered by at least one live lease. Shard locks nest
-  // under mu_ here, and because grants and releases mutate the table only
-  // while holding mu_ themselves, the snapshot is point-in-time
-  // consistent.
-  for (const auto& [lease, bundle] : leases_.snapshot()) {
-    for (FileId id : bundle.files) {
-      if (!cache_.contains(id))
+  // Leases: every leased file must be resident, and each resident file's
+  // pin count must equal the number of live leases covering it, counted
+  // from scratch by walking the table in lease-id order.
+  std::map<FileId, std::uint32_t> covering;
+  for (const auto& [lease, held] : leases_.leases()) {
+    for (FileId id : held.bundle.files) {
+      if (cache_.contains(id))
+        ++covering[id];
+      else
         violations.push_back("serve.lease: lease " + std::to_string(lease) +
                              " covers non-resident file " +
                              std::to_string(id));
-      else if (!cache_.pinned(id))
-        violations.push_back("serve.lease: lease " + std::to_string(lease) +
-                             " covers unpinned file " + std::to_string(id));
     }
   }
   for (FileId id : cache_.resident_files()) {
-    if (cache_.pinned(id) && !leases_.covers(id))
-      violations.push_back("serve.lease: pinned file " + std::to_string(id) +
-                           " has no covering lease");
+    const auto it = covering.find(id);
+    const std::uint32_t leases = it == covering.end() ? 0 : it->second;
+    if (cache_.pin_count(id) != leases)
+      violations.push_back("serve.lease: file " + std::to_string(id) +
+                           " has " + std::to_string(cache_.pin_count(id)) +
+                           " pins but " + std::to_string(leases) +
+                           " covering leases");
   }
 
   // Accounting: admissions and lease counters must tie out.

@@ -69,7 +69,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -247,9 +246,11 @@ class BundleServer : public ServingEndpoint {
   }
 
   /// Independently re-checks the serving invariants (capacity and pinned
-  /// byte accounting, lease pinning, residency of leased bundles, counter
-  /// consistency) and returns human-readable violations -- empty when
-  /// healthy. The checks mirror testing::InvariantAuditor's classes.
+  /// byte accounting, each resident file's pin count against its covering
+  /// leases, residency of leased bundles, counter consistency) and
+  /// returns human-readable violations -- empty when healthy, in a
+  /// deterministic order. The checks mirror testing::InvariantAuditor's
+  /// classes.
   [[nodiscard]] std::vector<std::string> audit() const;
 
   [[nodiscard]] const ServiceConfig& config() const noexcept {
@@ -353,13 +354,13 @@ class BundleServer : public ServingEndpoint {
   // fbc:lock-level(10)
   // fbc:guards(cache_, policy_, metrics_, fail_rng_, queue_, admissions_)
   // fbc:guards(rejected_full_, timed_out_, invalid_, transfer_retries_)
-  // fbc:guards(transfer_failures_, released_, closed_, paused_, grant_times_)
+  // fbc:guards(transfer_failures_, released_, closed_, paused_, leases_)
   mutable OrderedMutex mu_{10, "BundleServer::mu_"};
   std::condition_variable_any cv_;
   DiskCache cache_;
   PolicyPtr policy_;
   CacheMetrics metrics_;
-  ShardedLeaseTable leases_;
+  LeaseTable leases_;
   FetchCoalescer coalescer_;
   Rng fail_rng_;
   std::deque<Waiter*> queue_;
@@ -372,10 +373,6 @@ class BundleServer : public ServingEndpoint {
   std::uint64_t released_ = 0;
   bool closed_ = false;
   bool paused_ = false;  ///< test hook: freeze drain passes (see setter)
-  /// Grant instant of each live lease, for the lease.hold_us histogram.
-  /// Guarded by mu_; lookups only (fbclint L005: never iterated).
-  std::unordered_map<LeaseId, std::chrono::steady_clock::time_point>
-      grant_times_;
 
   std::atomic<std::uint64_t> request_seq_ = 0;
 

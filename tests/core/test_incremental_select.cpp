@@ -431,6 +431,83 @@ TEST(IncrementalSelect, KeptIdsComeBackInIdOrderOnDenseAndSparseCatalogs) {
   }
 }
 
+// --- Reused decision buffers ----------------------------------------------
+
+TEST(IncrementalSelect, RecycledResultsLeakNothingIntoTheNextDecision) {
+  // The incremental policy builds each decision's result in the previous
+  // one's storage. Replay a stream whose first decision takes Algorithm
+  // 1's single-request override and whose second does not, and compare
+  // every field of every decision with a fresh Reference-engine policy.
+  //
+  // Files: X = {0} 100 B, Y = {1} 10 B, Z = {2} 50 B; cache 150 B.
+  // Decision 1 (Z arrives, X x3 and Y resident, budget 100): the greedy
+  // takes the denser Y (1/10), after which X no longer fits; X alone
+  // (value 3 > 1) overrides it. Decision 2 (Y arrives, X and Z resident,
+  // budget 140): the greedy keeps X, Z no longer fits, and no single
+  // request beats X's 3: no override.
+  FileCatalog catalog({100, 10, 50});
+  const Request x({0});
+  const Request y({1});
+  const Request z({2});
+  const std::vector<Request> stream = {x, x, x, y, z, y};
+
+  for (SelectVariant variant :
+       {SelectVariant::Basic, SelectVariant::Resort, SelectVariant::Seeded1,
+        SelectVariant::Seeded2}) {
+    SCOPED_TRACE(to_string(variant));
+    OptFileBundleConfig config;
+    config.variant = variant;
+    OptFileBundlePolicy reference(catalog, config);
+    config.engine = SelectEngine::Incremental;
+    OptFileBundlePolicy incremental(catalog, config);
+    DiskCache ref_cache(150, catalog);
+    DiskCache inc_cache(150, catalog);
+
+    // One job through one policy, simulator-style; returns the victims
+    // of its replacement decision (none when the bundle fit).
+    auto step = [](OptFileBundlePolicy& policy, DiskCache& cache,
+                   const Request& request) {
+      policy.on_job_arrival(request, cache);
+      const std::vector<FileId> missing = cache.missing_files(request);
+      const Bytes needed = cache.catalog().bundle_bytes(missing);
+      std::vector<FileId> victims;
+      if (needed > cache.free_bytes()) {
+        victims = policy.select_victims(request, needed - cache.free_bytes(),
+                                        cache);
+        for (FileId id : victims) {
+          cache.evict(id);
+          policy.on_file_evicted(id);
+        }
+      }
+      for (FileId id : missing) cache.insert(id);
+      policy.on_files_loaded(request, missing, cache);
+      return victims;
+    };
+
+    std::vector<bool> overrides;
+    for (const Request& request : stream) {
+      const std::uint64_t before = reference.selection_cost()->decisions;
+      const std::vector<FileId> ref_victims =
+          step(reference, ref_cache, request);
+      const std::vector<FileId> inc_victims =
+          step(incremental, inc_cache, request);
+      EXPECT_EQ(inc_victims, ref_victims);
+      if (reference.selection_cost()->decisions == before) continue;
+      const SelectionResult& ref = reference.last_selection();
+      const SelectionResult& inc = incremental.last_selection();
+      EXPECT_EQ(inc.chosen, ref.chosen);
+      EXPECT_EQ(inc.files, ref.files);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(inc.total_value),
+                std::bit_cast<std::uint64_t>(ref.total_value));
+      EXPECT_EQ(inc.file_bytes, ref.file_bytes);
+      EXPECT_EQ(inc.single_request_override, ref.single_request_override);
+      overrides.push_back(ref.single_request_override);
+    }
+    EXPECT_EQ(overrides, (std::vector<bool>{true, false}));
+    EXPECT_EQ(incremental.selection_cost()->decisions, 2u);
+  }
+}
+
 // --- Effort counters ------------------------------------------------------
 
 TEST(IncrementalSelect, RescoresFewerEntriesThanReference) {

@@ -1,6 +1,7 @@
 // FetchCoalescer tests: single-flight semantics at the unit level
 // (waiters block until the overlapping transfer completes or reaches its
-// ready instant, refcounted in-flight files, fast path on no overlap) and
+// ready instant, refcounted in-flight files, fast path on no overlap,
+// completions of files not in flight, ids past the table's end) and
 // at the server level (N concurrent misses on one bundle cost exactly one
 // MSS transfer).
 #include "service/coalesce.hpp"
@@ -107,6 +108,56 @@ TEST(FetchCoalescer, InFlightCountsAreRefcounted) {
   // One owner still staging: the file stays in flight.
   EXPECT_EQ(coalescer.in_flight(), 1u);
   coalescer.complete_fetch(file);
+  EXPECT_EQ(coalescer.in_flight(), 0u);
+}
+
+TEST(FetchCoalescer, CompletingFilesNotInFlightChangesNothing) {
+  FetchCoalescer coalescer;
+  const std::vector<FileId> never_begun = {7};
+  coalescer.complete_fetch(never_begun);  // beyond an empty table
+  EXPECT_EQ(coalescer.in_flight(), 0u);
+
+  const std::vector<FileId> staged = {1, 2};
+  coalescer.begin_fetch(staged);
+  const std::vector<FileId> idle = {0};  // inside the table, never begun
+  coalescer.complete_fetch(idle);
+  EXPECT_EQ(coalescer.in_flight(), 2u);
+  coalescer.complete_fetch(staged);
+  EXPECT_EQ(coalescer.in_flight(), 0u);
+  coalescer.complete_fetch(staged);  // completed twice
+  EXPECT_EQ(coalescer.in_flight(), 0u);
+
+  // Had the owner count wrapped, one more begin would not bring the file
+  // back in flight, and its completion would not retire it.
+  const std::vector<FileId> again = {1};
+  coalescer.begin_fetch(again);
+  EXPECT_EQ(coalescer.in_flight(), 1u);
+  coalescer.complete_fetch(again);
+  EXPECT_EQ(coalescer.in_flight(), 0u);
+  const std::vector<FileId> bundle = {1, 2, 7};
+  EXPECT_EQ(coalescer.wait_for(bundle).waited_files, 0u);
+  EXPECT_EQ(coalescer.coalesced_waits(), 0u);
+}
+
+TEST(FetchCoalescer, WaitOnIdsBeyondTheTableReturnsWithoutGrowingIt) {
+  FetchCoalescer coalescer;
+  const std::vector<FileId> far = {1000000, 2000000};
+  CoalesceWait wait = coalescer.wait_for(far);  // nothing in flight
+  EXPECT_EQ(wait.waited_files, 0u);
+  EXPECT_EQ(wait.wait_us, 0u);
+  EXPECT_EQ(coalescer.table_size(), 0u);
+
+  // With a transfer in flight the lookup passes the fast path and must
+  // still treat ids past the table's end as not in flight.
+  const std::vector<FileId> staged = {3};
+  coalescer.begin_fetch(staged);
+  EXPECT_EQ(coalescer.table_size(), 4u);
+  wait = coalescer.wait_for(far);
+  EXPECT_EQ(wait.waited_files, 0u);
+  EXPECT_EQ(wait.wait_us, 0u);
+  EXPECT_EQ(coalescer.table_size(), 4u);
+  EXPECT_EQ(coalescer.coalesced_waits(), 0u);
+  coalescer.complete_fetch(staged);
   EXPECT_EQ(coalescer.in_flight(), 0u);
 }
 

@@ -1,13 +1,15 @@
 // Lease tests: counted pinning through LeaseTable, the cache-enforced
-// lease invariant (evicting a leased file throws), and a concurrent
-// stress run proving no admission ever evicts a leased file.
+// lease invariant (evicting a leased file throws), the server's
+// from-scratch lease audit and hold-time metric, and a concurrent stress
+// run proving no admission ever evicts a leased file.
 #include "service/lease.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
-#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -107,93 +109,112 @@ TEST(LeaseTable, ReleaseAllDropsEveryPin) {
   EXPECT_FALSE(cache.pinned(1));
 }
 
-TEST(ShardedLeaseTable, GrantTakeCoversAcrossShardCounts) {
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{3},
-                                   std::size_t{16}}) {
-    SCOPED_TRACE(shards);
-    ShardedLeaseTable leases(shards);
-    EXPECT_GE(leases.shard_count(), 1u);
+TEST(LeaseTable, PinCountsTrackOverlappingLeasesAndGrantInstants) {
+  FileCatalog catalog = small_catalog();
+  DiskCache cache(1500, catalog);
+  ASSERT_TRUE(cache.insert(0));
+  ASSERT_TRUE(cache.insert(1));
+  ASSERT_TRUE(cache.insert(2));
+  EXPECT_EQ(cache.pin_count(0), 0u);
+  EXPECT_EQ(cache.pin_count(99), 0u);  // beyond the catalog
 
-    const LeaseId a = leases.grant(Request({0, 1}));
-    const LeaseId b = leases.grant(Request({1, 2}));
-    EXPECT_EQ(a, 1u);  // ids are dense from 1 regardless of sharding
-    EXPECT_EQ(b, 2u);
-    EXPECT_EQ(leases.active(), 2u);
-    EXPECT_EQ(leases.granted(), 2u);
+  LeaseTable leases;
+  const LeaseTable::Clock::time_point t1{std::chrono::microseconds(10)};
+  const LeaseTable::Clock::time_point t2{std::chrono::microseconds(20)};
+  const LeaseId a = leases.grant(Request({0, 1}), cache, t1);
+  const LeaseId b = leases.grant(Request({1, 2}), cache, t2);
+  EXPECT_EQ(cache.pin_count(0), 1u);
+  EXPECT_EQ(cache.pin_count(1), 2u);
+  EXPECT_EQ(cache.pin_count(2), 1u);
 
-    EXPECT_TRUE(leases.covers(0));
-    EXPECT_EQ(leases.cover_count(1), 2u);  // overlap stacks counts
-    EXPECT_EQ(leases.cover_count(3), 0u);
-    ASSERT_TRUE(leases.bundle(a).has_value());
-    EXPECT_EQ(*leases.bundle(a), Request({0, 1}));
-    EXPECT_FALSE(leases.bundle(99).has_value());
-    EXPECT_EQ(leases.snapshot().size(), 2u);
+  // The table walks in lease-id order, whatever the release order was.
+  std::vector<LeaseId> order;
+  for (const auto& [id, lease] : leases.leases()) order.push_back(id);
+  EXPECT_EQ(order, (std::vector<LeaseId>{a, b}));
 
-    const std::optional<Request> taken = leases.take(a);
-    ASSERT_TRUE(taken.has_value());
-    EXPECT_EQ(*taken, Request({0, 1}));
-    EXPECT_FALSE(leases.take(a).has_value());  // double take
-    EXPECT_FALSE(leases.covers(0));
-    EXPECT_EQ(leases.cover_count(1), 1u);  // b still covers file 1
-    EXPECT_EQ(leases.active(), 1u);
-    EXPECT_EQ(leases.granted(), 2u);  // granted never decreases
+  LeaseTable::Clock::time_point granted_at;
+  ASSERT_TRUE(leases.release(b, cache, &granted_at));
+  EXPECT_EQ(granted_at, t2);
+  EXPECT_EQ(cache.pin_count(1), 1u);
+  EXPECT_EQ(cache.pin_count(2), 0u);
 
-    const std::vector<Request> remaining = leases.take_all();
-    ASSERT_EQ(remaining.size(), 1u);
-    EXPECT_EQ(remaining[0], Request({1, 2}));
-    EXPECT_EQ(leases.active(), 0u);
-    EXPECT_FALSE(leases.covers(2));
-    EXPECT_TRUE(leases.snapshot().empty());
-  }
+  // Ids are never reused: the next grant gets a fresh one.
+  const LeaseId c = leases.grant(Request({2}), cache, t1);
+  EXPECT_EQ(c, 3u);
+  ASSERT_NE(leases.bundle(c), nullptr);
+  EXPECT_EQ(*leases.bundle(c), Request({2}));
+  EXPECT_EQ(leases.bundle(b), nullptr);
+  ASSERT_TRUE(leases.release(a, cache, &granted_at));
+  EXPECT_EQ(granted_at, t1);
+  EXPECT_EQ(cache.pin_count(0), 0u);
+  EXPECT_EQ(cache.pin_count(1), 0u);
+  EXPECT_EQ(cache.pin_count(2), 1u);
+  EXPECT_EQ(leases.active(), 1u);
+  EXPECT_EQ(leases.granted(), 3u);
 }
 
-TEST(ShardedLeaseTable, ConcurrentGrantTakeKeepsCountsConsistent) {
-  // Grant/take churn from several threads with concurrent covers() reads:
-  // the per-shard locking must keep every counter exact (this test also
-  // backs the CI thread-sanitizer leg for the sharded table).
-  ShardedLeaseTable leases(4);
-  constexpr int kThreads = 4;
-  constexpr int kIterations = 500;
-  std::atomic<int> failures{0};
-  std::atomic<bool> done{false};
+TEST(LeaseAudit, OverlappingLeasesTieToPinCountsAcrossARelease) {
+  // Two overlapping leases pin file 1 twice: audit() recounts each
+  // file's covering leases from the table and requires that count to
+  // equal the file's pin count, before and after one lease goes.
+  FileCatalog catalog({100, 200, 300, 400, 500});
+  MassStorageSystem mss(default_tiers(), catalog);
+  ServiceConfig config;
+  config.cache_bytes = 1500;
+  BundleServer server(config, mss);
 
-  std::thread reader([&leases, &done] {
-    while (!done.load()) {
-      for (FileId id = 0; id < 8; ++id) (void)leases.covers(id);
-      (void)leases.snapshot();
-      std::this_thread::yield();
-    }
-  });
+  const AcquireResult a = server.acquire(Request({0, 1}));
+  const AcquireResult b = server.acquire(Request({1, 2}));
+  ASSERT_EQ(a.status, AcquireStatus::Ok);
+  ASSERT_EQ(b.status, AcquireStatus::Ok);
+  EXPECT_EQ(server.stats().active_leases, 2u);
+  EXPECT_EQ(server.audit(), std::vector<std::string>{});
 
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&leases, &failures, t] {
-      Rng rng(static_cast<std::uint64_t>(t) + 1);
-      for (int i = 0; i < kIterations; ++i) {
-        std::vector<FileId> files;
-        const std::size_t count = rng.uniform_u64(1, 3);
-        for (std::size_t f = 0; f < count; ++f)
-          files.push_back(static_cast<FileId>(rng.uniform_u64(0, 7)));
-        const Request request(std::move(files));
-        const LeaseId id = leases.grant(request);
-        for (FileId file : request.files)
-          if (leases.cover_count(file) == 0) ++failures;
-        const std::optional<Request> taken = leases.take(id);
-        if (!taken.has_value() || !(*taken == request)) ++failures;
-      }
-    });
+  ASSERT_TRUE(server.release(a.lease));
+  EXPECT_EQ(server.stats().active_leases, 1u);
+  EXPECT_EQ(server.audit(), std::vector<std::string>{});
+
+  ASSERT_TRUE(server.release(b.lease));
+  EXPECT_EQ(server.audit(), std::vector<std::string>{});
+}
+
+TEST(LeaseAudit, HoldHistogramCountsExactlyTheSuccessfulReleases) {
+  // lease.hold_us records one observation per release.ok, none for an
+  // unknown or repeated release, and measures each lease from its own
+  // grant instant.
+  FileCatalog catalog({100, 200, 300, 400, 500});
+  MassStorageSystem mss(default_tiers(), catalog);
+  ServiceConfig config;
+  config.cache_bytes = 1500;
+  BundleServer server(config, mss);
+
+  const AcquireResult held = server.acquire(Request({0, 1}));
+  ASSERT_EQ(held.status, AcquireStatus::Ok);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const AcquireResult brief = server.acquire(Request({1, 2}));
+  ASSERT_EQ(brief.status, AcquireStatus::Ok);
+  ASSERT_TRUE(server.release(brief.lease));
+  ASSERT_TRUE(server.release(held.lease));
+  EXPECT_FALSE(server.release(held.lease));  // repeated
+  EXPECT_FALSE(server.release(9999));        // never granted
+
+  const MetricsSnapshot m = server.metrics();
+  std::uint64_t ok = 0;
+  std::uint64_t unknown = 0;
+  for (const auto& [name, value] : m.counters) {
+    if (name == "release.ok") ok = value;
+    if (name == "release.unknown") unknown = value;
   }
-  for (std::thread& t : threads) t.join();
-  done.store(true);
-  reader.join();
-
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(leases.active(), 0u);
-  EXPECT_EQ(leases.granted(),
-            static_cast<std::uint64_t>(kThreads) * kIterations);
-  for (FileId id = 0; id < 8; ++id) EXPECT_EQ(leases.cover_count(id), 0u);
-  EXPECT_TRUE(leases.snapshot().empty());
+  EXPECT_EQ(ok, 2u);
+  EXPECT_EQ(unknown, 2u);
+  const obs::Histogram* hold = nullptr;
+  for (const auto& named : m.histograms)
+    if (named.name == "lease.hold_us") hold = &named.hist;
+  ASSERT_NE(hold, nullptr);
+  EXPECT_EQ(hold->count(), ok);
+  EXPECT_EQ(hold->count(), m.stats.leases_released);
+  // The long-held lease spans the 20 ms sleep.
+  EXPECT_GE(hold->max(), 20000u);
 }
 
 // Concurrent lease-invariant stress: hammer a small, heavily contended
