@@ -15,14 +15,12 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/config.hpp"
 #include "cluster/router.hpp"
-#include "cluster/shard.hpp"
 #include "common/harness.hpp"
 #include "grid/mss.hpp"
 #include "service/endpoint.hpp"
@@ -145,17 +143,9 @@ int main(int argc, char** argv) {
     cluster_config.spill_threshold = cli.get_double("spill-threshold");
 
     MassStorageSystem mss(default_tiers(), workload.catalog);
-    std::vector<std::unique_ptr<service::BundleServer>> servers;
-    std::vector<std::unique_ptr<cluster::Shard>> shards;
-    for (std::uint32_t s = 0; s < shard_count; ++s) {
-      service::ServiceConfig shard_config = config;
-      shard_config.shard_id = s;
-      servers.push_back(
-          std::make_unique<service::BundleServer>(shard_config, mss));
-      shards.push_back(std::make_unique<cluster::LocalShard>(*servers.back()));
-    }
-    cluster::ClusterRouter router(cluster_config, workload.catalog,
-                                  config.cache_bytes, std::move(shards));
+    const cluster::ClusterStack stack =
+        cluster::make_local_cluster(cluster_config, config, mss);
+    cluster::ClusterRouter& router = *stack.router;
 
     std::vector<WorkerResult> results(connections);
     std::vector<std::thread> threads;
@@ -180,11 +170,8 @@ int main(int argc, char** argv) {
     // Post-run invariants: every shard audit clean, no scatter leases
     // outstanding. A bench that leaks leases reports garbage throughput.
     int violations = 0;
-    for (std::size_t s = 0; s < router.info().shard_count; ++s)
-      for (const std::string& v :
-           dynamic_cast<cluster::LocalShard&>(router.shard(s))
-               .server()
-               .audit()) {
+    for (std::size_t s = 0; s < stack.servers.size(); ++s)
+      for (const std::string& v : stack.servers[s]->audit()) {
         std::cerr << "bench_cluster: shard " << s << ": " << v << "\n";
         ++violations;
       }

@@ -7,19 +7,20 @@
 //   * an SRM with THREE concurrent service slots whose in-flight working
 //     sets stay pinned in the staging cache (paper §6 retention),
 //   * OptFileBundle vs Landlord replacement underneath it all,
-//   * and the same workload on a 4-node cluster of independent caches.
+//   * and the same workload on a 4-shard ClusterRouter of independent
+//     caches.
 //
 // Run: ./build/examples/grid_site [--jobs=N]
 #include <iostream>
-#include <memory>
 #include <vector>
 
-#include "core/opt_file_bundle.hpp"
+#include "cluster/config.hpp"
+#include "cluster/router.hpp"
 #include "core/registry.hpp"
-#include "grid/cluster.hpp"
 #include "grid/replica.hpp"
 #include "grid/srm.hpp"
-#include "policies/landlord.hpp"
+#include "service/protocol.hpp"
+#include "service/server.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -93,26 +94,43 @@ int main(int argc, char** argv) {
                "working sets):\n";
   srm_table.print(std::cout);
 
-  // --- the same stream over a 4-node cluster of independent caches ------
-  std::cout << "\n4-node cluster (same total capacity, hash placement):\n";
+  // --- the same stream over a 4-shard cluster of independent caches -----
+  // Four in-process BundleServer shards behind a ClusterRouter, each with
+  // a quarter of the capacity, fetching from the same replica pool; the
+  // jobs are replayed one at a time with no staging sleep.
+  std::cout << "\n4-shard cluster (same total capacity, hash placement):\n";
   TextTable cluster_table({"policy", "request_hit", "byte_miss"});
+  const std::size_t warmup = w.jobs.size() / 10;
   for (const std::string name : {"optfb", "landlord"}) {
-    ClusterConfig cluster_config;
-    cluster_config.nodes = 4;
-    cluster_config.node_cache_bytes = cache_bytes / 4;
-    cluster_config.warmup_jobs = w.jobs.size() / 10;
-    const FileCatalog& catalog = w.catalog;
-    ClusterSimulator cluster(cluster_config, catalog,
-                             [&catalog, &name]() -> PolicyPtr {
-                               if (name == "optfb")
-                                 return std::make_unique<OptFileBundlePolicy>(
-                                     catalog);
-                               return std::make_unique<LandlordPolicy>();
-                             });
-    const ClusterResult result = cluster.run(w.jobs);
-    cluster_table.add_row({name,
-                           format_double(result.metrics.request_hit_ratio()),
-                           format_double(result.metrics.byte_miss_ratio())});
+    service::ServiceConfig service_config;
+    service_config.cache_bytes = cache_bytes / 4;
+    service_config.policy = name;
+    service_config.time_scale = 0.0;
+    cluster::ClusterConfig cluster_config;
+    cluster_config.shards = 4;
+    cluster_config.placement = cluster::PlacementMode::HashFile;
+    const cluster::ClusterStack stack =
+        cluster::make_local_cluster(cluster_config, service_config, replicas);
+    service::ServiceStats at_warmup;
+    std::size_t hits = 0;
+    for (std::size_t i = 0; i < w.jobs.size(); ++i) {
+      if (i == warmup) at_warmup = stack.router->stats();
+      // A bundle part larger than its shard is refused (Unserviceable)
+      // and counts as a miss.
+      const service::AcquireResult result = stack.router->acquire(w.jobs[i]);
+      if (result.status != service::AcquireStatus::Ok) continue;
+      if (i >= warmup && result.request_hit) ++hits;
+      stack.router->release(result.lease);
+    }
+    const service::ServiceStats end = stack.router->stats();
+    const double measured = static_cast<double>(w.jobs.size() - warmup);
+    const double requested =
+        static_cast<double>(end.bytes_requested - at_warmup.bytes_requested);
+    cluster_table.add_row(
+        {name, format_double(static_cast<double>(hits) / measured),
+         format_double(
+             static_cast<double>(end.bytes_missed - at_warmup.bytes_missed) /
+             requested)});
   }
   cluster_table.print(std::cout);
   std::cout << "\nEverything composes: replica placement cuts WAN fetches, "

@@ -5,9 +5,10 @@
 // bundle is too big for one shard and must scatter (spill_threshold), and
 // whether the shared MSS grows replica sites for replica-aware fetch.
 //
-// Lives in namespace fbc::cluster -- fbc::ClusterConfig (grid/cluster.hpp)
-// is the *simulation*-level multi-site model; this one configures the
-// live serving cluster.
+// The same config drives every cluster the project builds: the fbcgrid
+// fleet, the in-process stacks of cluster::make_local_cluster (fbcload
+// --cluster, bench_cluster, bench_partition_penalty, examples/grid_site)
+// and the replay harnesses.
 #pragma once
 
 #include <cstdint>

@@ -504,4 +504,21 @@ bool ClusterRouter::probe(std::size_t index) {
   return true;
 }
 
+ClusterStack make_local_cluster(const ClusterConfig& cluster_config,
+                                service::ServiceConfig service_config,
+                                const StorageBackend& backend) {
+  ClusterStack stack;
+  std::vector<std::unique_ptr<Shard>> shards;
+  for (std::uint32_t i = 0; i < cluster_config.shards; ++i) {
+    service_config.shard_id = i;
+    stack.servers.push_back(
+        std::make_unique<service::BundleServer>(service_config, backend));
+    shards.push_back(std::make_unique<LocalShard>(*stack.servers.back()));
+  }
+  stack.router = std::make_unique<ClusterRouter>(
+      cluster_config, backend.catalog(), service_config.cache_bytes,
+      std::move(shards));
+  return stack;
+}
+
 }  // namespace fbc::cluster

@@ -61,9 +61,11 @@
 #include "cluster/config.hpp"
 #include "cluster/placement.hpp"
 #include "cluster/shard.hpp"
+#include "grid/backend.hpp"
 #include "obs/counter.hpp"
 #include "obs/histogram.hpp"
 #include "service/endpoint.hpp"
+#include "service/server.hpp"
 #include "util/ordered_mutex.hpp"
 
 namespace fbc::cluster {
@@ -239,5 +241,21 @@ class ClusterRouter final : public service::ServingEndpoint {
   obs::Histogram scatter_reserve_us_;  ///< plan -> every part reserved
   obs::Histogram scatter_grant_us_;    ///< then -> every part granted
 };
+
+/// One in-process cluster: N BundleServers (shard_id = 0..N-1, each with
+/// its own staging cache) behind a ClusterRouter. The router is declared
+/// last, so it is destroyed before the servers it routes to.
+struct ClusterStack {
+  std::vector<std::unique_ptr<service::BundleServer>> servers;
+  std::unique_ptr<ClusterRouter> router;
+};
+
+/// Builds an in-process cluster of `cluster_config.shards` servers that
+/// all fetch from `backend`. `service_config.cache_bytes` is the
+/// per-shard capacity; each server gets its index as shard_id. `backend`
+/// (and its catalog) must outlive the stack.
+[[nodiscard]] ClusterStack make_local_cluster(
+    const ClusterConfig& cluster_config, service::ServiceConfig service_config,
+    const StorageBackend& backend);
 
 }  // namespace fbc::cluster

@@ -4,7 +4,8 @@
 // unknown leases, merged stats/metrics, close semantics, and a
 // concurrent scatter/gather stress run with live per-shard audit threads,
 // the scatter histograms, a rollback while an earlier part is still
-// staging, and the in-process liveness of overlapping scatters.
+// staging, the in-process liveness of overlapping scatters, an oversized
+// shard part, and the request-hit cost of splitting a fixed capacity.
 #include "cluster/router.hpp"
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "grid/mss.hpp"
 #include "service/server.hpp"
 #include "util/rng.hpp"
+#include "workload/workload.hpp"
 
 namespace fbc::cluster {
 namespace {
@@ -38,29 +40,20 @@ constexpr int kShardShift = 56;
 struct Cluster {
   FileCatalog catalog;
   std::unique_ptr<MassStorageSystem> mss;
-  std::vector<std::unique_ptr<BundleServer>> servers;
-  std::unique_ptr<ClusterRouter> router;
+  ClusterStack stack;
+  ClusterRouter* router = nullptr;  ///< stack.router
 
-  BundleServer& server(std::size_t i) { return *servers[i]; }
+  BundleServer& server(std::size_t i) { return *stack.servers[i]; }
 };
 
 Cluster make_cluster(const ClusterConfig& config, std::size_t files,
                      const ServiceConfig& service_base) {
   Cluster cluster;
-  std::vector<Bytes> sizes(files, 100);
-  cluster.catalog = FileCatalog(std::move(sizes));
+  cluster.catalog = FileCatalog(std::vector<Bytes>(files, 100));
   cluster.mss =
       std::make_unique<MassStorageSystem>(default_tiers(), cluster.catalog);
-  std::vector<std::unique_ptr<Shard>> shards;
-  for (std::uint32_t s = 0; s < config.shards; ++s) {
-    ServiceConfig service = service_base;
-    service.shard_id = s;
-    cluster.servers.push_back(
-        std::make_unique<BundleServer>(service, *cluster.mss));
-    shards.push_back(std::make_unique<LocalShard>(*cluster.servers.back()));
-  }
-  cluster.router = std::make_unique<ClusterRouter>(
-      config, cluster.catalog, service_base.cache_bytes, std::move(shards));
+  cluster.stack = make_local_cluster(config, service_base, *cluster.mss);
+  cluster.router = cluster.stack.router.get();
   return cluster;
 }
 
@@ -230,6 +223,81 @@ TEST(ClusterRouter, PartialGrantRollsBackEveryPinnedShard) {
     cluster.server(blocked).release(filler_result.lease);
   for (std::uint32_t s = 0; s < 2; ++s)
     EXPECT_TRUE(cluster.server(s).audit().empty());
+}
+
+TEST(ClusterRouter, OversizedPartIsUnserviceable) {
+  // Shard 1's part of this hash-placed bundle is every file it owns: more
+  // than its 2000-byte cache holds. Shard 0's part is reserved first and
+  // must be rolled back when shard 1 refuses.
+  constexpr std::size_t kFiles = 128;
+  Cluster cluster = make_cluster(hash_cluster(2), kFiles, small_service());
+  const Placement& placement = cluster.router->placement();
+  std::vector<FileId> files = {file_on_shard(placement, 0, kFiles)};
+  for (FileId id = 0; id < kFiles; ++id)
+    if (placement.file_shard(id) == 1) files.push_back(id);
+  ASSERT_GT((files.size() - 1) * 100, small_service().cache_bytes);
+
+  const AcquireResult result = cluster.router->acquire(Request(files));
+  EXPECT_EQ(result.status, AcquireStatus::Unserviceable);
+  EXPECT_EQ(result.lease, 0u);
+  EXPECT_EQ(cluster.router->scatter_leases(), 0u);
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(cluster.server(s).stats().active_leases, 0u) << "shard " << s;
+    EXPECT_TRUE(cluster.server(s).audit().empty()) << "shard " << s;
+  }
+}
+
+/// Request hits of a serial acquire-then-release replay of `w.jobs`
+/// through `shards` hash-placed shards that split `total_bytes` evenly.
+std::uint64_t serial_request_hits(const Workload& w, std::uint32_t shards,
+                                  Bytes total_bytes,
+                                  const std::string& policy) {
+  MassStorageSystem mss(default_tiers(), w.catalog);
+  ServiceConfig service = small_service();
+  service.cache_bytes = total_bytes / shards;
+  service.policy = policy;
+  const ClusterStack stack =
+      make_local_cluster(hash_cluster(shards), service, mss);
+  std::uint64_t hits = 0;
+  for (const Request& job : w.jobs) {
+    const AcquireResult result = stack.router->acquire(job);
+    EXPECT_EQ(result.status, AcquireStatus::Ok);
+    if (result.status != AcquireStatus::Ok) continue;
+    if (result.request_hit) ++hits;
+    EXPECT_TRUE(stack.router->release(result.lease));
+  }
+  return hits;
+}
+
+TEST(ClusterRouter, SplittingFixedCapacityCostsOptfbRequestHits) {
+  // The paper's §1 cluster deployment: the same total disk split over
+  // more independent shards. A job hits only when every shard holds its
+  // part, so OptFileBundle's request hits fall as the shard count grows,
+  // and it keeps its lead over LRU at every count. (LRU's own count is
+  // not monotone: on this stream it rises from 2 to 4 shards.)
+  WorkloadConfig wconfig;
+  wconfig.seed = 1;
+  wconfig.cache_bytes = 64 * MiB;
+  wconfig.num_files = 1500;
+  wconfig.min_file_bytes = 64 * KiB;
+  wconfig.max_file_frac = 0.005;
+  wconfig.num_requests = 600;
+  wconfig.min_bundle_files = 2;
+  wconfig.max_bundle_files = 8;
+  wconfig.num_jobs = 1500;
+  wconfig.popularity = Popularity::Zipf;
+  const Workload w = generate_workload(wconfig);
+
+  std::uint64_t previous = w.jobs.size();
+  for (const std::uint32_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE(shards);
+    const std::uint64_t optfb =
+        serial_request_hits(w, shards, wconfig.cache_bytes, "optfb");
+    EXPECT_LE(optfb, previous);
+    EXPECT_GE(optfb,
+              serial_request_hits(w, shards, wconfig.cache_bytes, "lru"));
+    previous = optfb;
+  }
 }
 
 TEST(ClusterRouter, ReleaseRejectsForeignLeases) {

@@ -5,11 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cluster/router.hpp"
-#include "cluster/shard.hpp"
 #include "grid/mss.hpp"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
@@ -86,20 +84,12 @@ TEST(Hello, RouterReportsShardCount) {
   MassStorageSystem mss(default_tiers(), catalog);
   ServiceConfig config;
   config.cache_bytes = 1000;
-  std::vector<std::unique_ptr<BundleServer>> servers;
-  std::vector<std::unique_ptr<cluster::Shard>> shards;
-  for (std::uint32_t s = 0; s < 3; ++s) {
-    ServiceConfig shard_config = config;
-    shard_config.shard_id = s;
-    servers.push_back(std::make_unique<BundleServer>(shard_config, mss));
-    shards.push_back(std::make_unique<cluster::LocalShard>(*servers.back()));
-  }
   cluster::ClusterConfig cluster_config;
   cluster_config.shards = 3;
   cluster_config.vnodes = 16;
-  cluster::ClusterRouter router(cluster_config, catalog, config.cache_bytes,
-                                std::move(shards));
-  BundleDaemon daemon(router, 0, 2);
+  const cluster::ClusterStack stack =
+      cluster::make_local_cluster(cluster_config, config, mss);
+  BundleDaemon daemon(*stack.router, 0, 2);
   BundleClient client(daemon.port());
   const HelloReplyMsg hello = client.hello();
   EXPECT_EQ(hello.role, EndpointRole::Router);

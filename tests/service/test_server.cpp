@@ -9,11 +9,15 @@
 #include <cstdint>
 #include <future>
 #include <limits>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "cache/simulator.hpp"
+#include "core/registry.hpp"
 #include "grid/mss.hpp"
+#include "workload/workload.hpp"
 
 namespace fbc::service {
 namespace {
@@ -744,6 +748,56 @@ TEST(BundleServer, RefusedReservationHasNothingToFinish) {
   EXPECT_EQ(refused.pending, nullptr);
   EXPECT_EQ(finish(refused).status, AcquireStatus::InvalidRequest);
   EXPECT_EQ(server.stats().active_leases, 0u);
+}
+
+// Served = simulated: a one-shard server fed one request at a time, with
+// no staging sleep, makes simulate()'s decisions for every policy that
+// only reacts to demand. lookahead needs the future job stream, and
+// optfb-full and optfb-window prefetch in simulate() (OptFileBundle step
+// 3) through ReplacementPolicy::prefetch(), which the server never calls.
+TEST(BundleServer, SerialServingMatchesSimulateForDemandPolicies) {
+  WorkloadConfig wconfig;
+  wconfig.seed = 1;
+  wconfig.cache_bytes = 64 * MiB;
+  wconfig.num_files = 400;
+  wconfig.min_file_bytes = 64 * KiB;
+  wconfig.max_file_frac = 0.02;
+  wconfig.num_requests = 150;
+  wconfig.num_jobs = 600;
+  wconfig.popularity = Popularity::Zipf;
+  const Workload w = generate_workload(wconfig);
+  MassStorageSystem mss(default_tiers(), w.catalog);
+
+  for (const std::string& name : policy_names()) {
+    if (name == "lookahead" || name == "optfb-full" || name == "optfb-window")
+      continue;
+    SCOPED_TRACE(name);
+    ServiceConfig config;
+    config.cache_bytes = wconfig.cache_bytes;
+    config.policy = name;
+    config.time_scale = 0.0;
+    BundleServer server(config, mss);
+    for (const Request& job : w.jobs) {
+      const AcquireResult result = server.acquire(job);
+      ASSERT_EQ(result.status, AcquireStatus::Ok);
+      ASSERT_TRUE(server.release(result.lease));
+    }
+
+    PolicyContext context;
+    context.catalog = &w.catalog;
+    context.seed = config.seed;
+    context.select_engine = config.engine;
+    const PolicyPtr policy = make_policy(name, context);
+    const CacheMetrics sim =
+        simulate(SimulatorConfig{.cache_bytes = config.cache_bytes},
+                 w.catalog, *policy, w.jobs)
+            .metrics;
+    const ServiceStats stats = server.stats();
+    EXPECT_EQ(stats.request_hits, sim.request_hits());
+    EXPECT_EQ(stats.bytes_missed, sim.bytes_missed());
+    EXPECT_EQ(stats.evictions, sim.evictions());
+    EXPECT_GT(stats.evictions, 0u);  // the cache was under pressure
+  }
 }
 
 }  // namespace

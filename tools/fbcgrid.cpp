@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
     const Workload workload =
         tools::build_scenario_workload(cli, service_config.cache_bytes);
 
-    tools::ClusterStack stack;  // in-process shards (default mode)
+    cluster::ClusterStack stack;  // in-process shards (default mode)
     std::unique_ptr<cluster::ClusterRouter> remote_router;
     tools::ClusterBackend backend;
     cluster::ClusterRouter* router = nullptr;
@@ -134,8 +134,8 @@ int main(int argc, char** argv) {
       router = remote_router.get();
     } else {
       backend = tools::make_cluster_backend(cluster_config, cli, workload);
-      stack = tools::make_local_cluster(cluster_config, service_config,
-                                        *backend.backend);
+      stack = cluster::make_local_cluster(cluster_config, service_config,
+                                          *backend.backend);
       router = stack.router.get();
     }
 

@@ -340,7 +340,7 @@ int main(int argc, char** argv) {
     std::unique_ptr<MassStorageSystem> mss;
     std::unique_ptr<service::BundleServer> server;
     tools::ClusterBackend cluster_backend;
-    tools::ClusterStack cluster_stack;
+    cluster::ClusterStack cluster_stack;
     std::unique_ptr<service::BundleDaemon> daemon;
     std::uint16_t port = static_cast<std::uint16_t>(cli.get_u64("port"));
     if (cli.get_flag("inline")) {
@@ -349,8 +349,8 @@ int main(int argc, char** argv) {
             tools::cluster_config_from_cli(cli);
         cluster_backend =
             tools::make_cluster_backend(cluster_config, cli, workload);
-        cluster_stack = tools::make_local_cluster(cluster_config, config,
-                                                  *cluster_backend.backend);
+        cluster_stack = cluster::make_local_cluster(
+            cluster_config, config, *cluster_backend.backend);
         daemon = std::make_unique<service::BundleDaemon>(
             *cluster_stack.router, /*port=*/0, cli.get_u64("workers"));
       } else {

@@ -207,32 +207,6 @@ inline ClusterBackend make_cluster_backend(
   return out;
 }
 
-/// One in-process cluster: N BundleServers (shard_id = 0..N-1, each with
-/// its own `--cache`-sized staging cache) behind a ClusterRouter.
-struct ClusterStack {
-  std::vector<std::unique_ptr<service::BundleServer>> servers;
-  std::unique_ptr<cluster::ClusterRouter> router;
-};
-
-/// Builds the in-process cluster fbcgrid and fbcload --cluster serve.
-/// `service_config.cache_bytes` is the per-shard capacity.
-inline ClusterStack make_local_cluster(
-    const cluster::ClusterConfig& cluster_config,
-    service::ServiceConfig service_config, const StorageBackend& backend) {
-  ClusterStack stack;
-  std::vector<std::unique_ptr<cluster::Shard>> shards;
-  for (std::uint32_t i = 0; i < cluster_config.shards; ++i) {
-    service_config.shard_id = i;
-    stack.servers.push_back(
-        std::make_unique<service::BundleServer>(service_config, backend));
-    shards.push_back(std::make_unique<cluster::LocalShard>(*stack.servers.back()));
-  }
-  stack.router = std::make_unique<cluster::ClusterRouter>(
-      cluster_config, backend.catalog(), service_config.cache_bytes,
-      std::move(shards));
-  return stack;
-}
-
 /// Client-side budget for QueueFull backpressure retries.
 ///
 /// The server's retry_after_ms hint is load-proportional, so honoring it
