@@ -21,8 +21,17 @@ shards and every miss stages for milliseconds, so the kill lands while
 scattered parts are reserved but still staging (the shard dies between
 Reserved and Granted).
 
+With --workers=32 --connections=24 the router serves more concurrent
+jobs than a RemoteShard pools idle connections (remote_pool_cap, 8), so
+more connections than the cap own live shard leases at once; the shards
+get the same --workers, as a shard must serve every connection the
+router opens to it. A pool that closed such a connection would make
+the shard reclaim leases their clients still hold, and their releases
+would fail.
+
 Usage: smoke_multiprocess.py [--build=build] [--requests=2000]
                              [--placement=affinity|hash] [--time-scale=0]
+                             [--workers=8] [--connections=8]
 """
 
 import argparse
@@ -66,7 +75,7 @@ def read_startup(grid):
     fail("timed out waiting for fbcgrid startup lines")
 
 
-def run_load(build, port, requests, connections=8):
+def run_load(build, port, requests, connections):
     return subprocess.run(
         [
             f"{build}/tools/fbcload",
@@ -116,6 +125,10 @@ def main():
     parser.add_argument("--time-scale", default="0",
                         help="fbcgrid --time-scale: wall seconds slept per "
                              "simulated staging second")
+    parser.add_argument("--workers", type=int, default=8,
+                        help="fbcgrid --workers (router and shards)")
+    parser.add_argument("--connections", type=int, default=8,
+                        help="fbcload -c: concurrent client connections")
     args = parser.parse_args()
     build = args.build
 
@@ -129,12 +142,13 @@ def main():
             f"--cache={CACHE}",
             f"--placement={args.placement}",
             f"--time-scale={args.time_scale}",
-            "--workers=8",
+            f"--workers={args.workers}",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
     )
+    children = []
     try:
         children, router_port = read_startup(grid)
         if len(children) != SHARDS:
@@ -153,7 +167,7 @@ def main():
                 f"--cache={CACHE}",
                 "--time-scale=0",
                 "--hold-ms=1",
-                "-c", "8",
+                "-c", str(args.connections),
                 "-n", str(args.requests),
             ],
             stdout=subprocess.PIPE,
@@ -173,7 +187,8 @@ def main():
         # A second load against the degraded fleet guarantees post-kill
         # traffic even if the first run finished before the kill landed,
         # and proves the grid keeps serving with a shard gone.
-        second = run_load(build, router_port, args.requests)
+        second = run_load(build, router_port, args.requests,
+                          args.connections)
         sys.stdout.write(second.stdout)
         if second.returncode != 0:
             fail(f"fbcload (degraded fleet) exited {second.returncode}")
@@ -204,6 +219,13 @@ def main():
         if grid.poll() is None:
             grid.kill()
             grid.wait()
+            # A killed grid cannot stop its shard daemons; they would
+            # outlive the failed run.
+            for _, pid, _ in children:
+                try:
+                    os.kill(pid, signal.SIGTERM)
+                except ProcessLookupError:
+                    pass
 
 
 if __name__ == "__main__":

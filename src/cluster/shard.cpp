@@ -1,36 +1,84 @@
 #include "cluster/shard.hpp"
 
+#include <iterator>
 #include <mutex>
 #include <utility>
 
 namespace fbc::cluster {
 
-RemoteShard::ClientPtr RemoteShard::checkout() const {
+namespace {
+
+/// Moves the connection with `serial` out of `pool` (null if absent).
+template <typename Ptr>
+Ptr take(std::vector<Ptr>& pool, std::uint64_t serial) {
+  for (Ptr& conn : pool) {
+    if (conn->serial != serial) continue;
+    Ptr taken = std::move(conn);
+    conn = std::move(pool.back());
+    pool.pop_back();
+    return taken;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+RemoteShard::ConnectionPtr RemoteShard::checkout() const {
+  std::uint64_t serial = 0;
   {
     std::lock_guard<OrderedMutex> lock(remote_mu_);
     if (closed_) throw service::NetError("remote shard is closed");
     if (!idle_.empty()) {
-      ClientPtr client = std::move(idle_.back());
+      ConnectionPtr conn = std::move(idle_.back());
       idle_.pop_back();
-      return client;
+      return conn;
     }
+    serial = next_serial_++;
   }
-  return std::make_unique<service::BundleClient>(port_);
+  return std::make_unique<Connection>(port_, serial);
 }
 
-void RemoteShard::checkin(ClientPtr client) const {
+void RemoteShard::checkin(ConnectionPtr conn) const {
+  ConnectionPtr dropped;  // declared first: closes after the unlock
   std::lock_guard<OrderedMutex> lock(remote_mu_);
-  if (closed_) return;  // drop: close() already tore the pool down
-  if (idle_.size() >= pool_cap_) return;  // drop-on-full: bounded pool
-  idle_.push_back(std::move(client));
+  // Closed: close() already tore the pool down. Full: a lease-free
+  // connection goes, so the idle pool stays bounded.
+  if (closed_ ||
+      (idle_.size() >= pool_cap_ && !owned_.contains(conn->serial))) {
+    dropped = std::move(conn);
+    return;
+  }
+  idle_.push_back(std::move(conn));
+}
+
+void RemoteShard::record(LeaseId lease, const Connection& conn) {
+  std::lock_guard<OrderedMutex> lock(remote_mu_);
+  owner_.emplace(lease, conn.serial);
+  ++owned_[conn.serial];
+}
+
+void RemoteShard::forget(LeaseId lease) {
+  ConnectionPtr dropped;  // declared first: closes after the unlock
+  std::lock_guard<OrderedMutex> lock(remote_mu_);
+  const auto owner = owner_.find(lease);
+  if (owner == owner_.end()) return;
+  const std::uint64_t serial = owner->second;
+  owner_.erase(owner);
+  const auto count = owned_.find(serial);
+  if (--count->second > 0) return;
+  owned_.erase(count);
+  dropped = take(parked_, serial);
+  if (dropped == nullptr && idle_.size() > pool_cap_)
+    dropped = take(idle_, serial);
 }
 
 service::AcquireResult RemoteShard::acquire(const Request& request) {
-  ClientPtr client = checkout();
-  // On a wire error the connection is poisoned: let `client` die with the
+  ConnectionPtr conn = checkout();
+  // On a wire error the connection is poisoned: let `conn` die with the
   // exception instead of returning it to the pool.
-  service::AcquireResult result = client->acquire(request.files);
-  checkin(std::move(client));
+  service::AcquireResult result = conn->client.acquire(request.files);
+  if (result.status == service::AcquireStatus::Ok) record(result.lease, *conn);
+  checkin(std::move(conn));
   return result;
 }
 
@@ -39,61 +87,87 @@ service::AcquireResult RemoteShard::acquire(const Request& request) {
 /// then reclaims the lease of the dead connection.
 class RemoteShard::Grant final : public service::PendingGrant {
  public:
-  Grant(const RemoteShard& shard, ClientPtr client)
-      : shard_(&shard), client_(std::move(client)) {}
+  Grant(RemoteShard& shard, ConnectionPtr conn, LeaseId lease)
+      : shard_(&shard), conn_(std::move(conn)), lease_(lease) {}
+
+  ~Grant() override {
+    // Unfinished, or its grant broke the connection: the lease goes with
+    // the connection, so its record goes too.
+    if (conn_ != nullptr) shard_->forget(lease_);
+  }
 
   service::AcquireResult finish() override {
     // A wire error poisons the connection: it dies with this object.
-    service::AcquireResult granted = client_->await_grant();
-    shard_->checkin(std::move(client_));
+    service::AcquireResult granted = conn_->client.await_grant();
+    // A refused grant ends the lease on the daemon's side too.
+    if (granted.status != service::AcquireStatus::Ok) shard_->forget(lease_);
+    shard_->checkin(std::move(conn_));
     return granted;
   }
 
  private:
-  const RemoteShard* shard_;
-  ClientPtr client_;
+  RemoteShard* shard_;
+  ConnectionPtr conn_;
+  LeaseId lease_;
 };
 
 service::Reservation RemoteShard::reserve(const Request& request) {
-  ClientPtr client = checkout();
-  service::AcquireResult reserved = client->reserve(request.files);
+  ConnectionPtr conn = checkout();
+  service::AcquireResult reserved = conn->client.reserve(request.files);
   if (reserved.status != service::AcquireStatus::Ok) {
-    checkin(std::move(client));
+    checkin(std::move(conn));
     return {reserved, nullptr};
   }
-  return {reserved, std::make_unique<Grant>(*this, std::move(client))};
+  record(reserved.lease, *conn);
+  return {reserved,
+          std::make_unique<Grant>(*this, std::move(conn), reserved.lease)};
 }
 
 bool RemoteShard::release(LeaseId lease) {
-  ClientPtr client = checkout();
-  const bool ok = client->release(lease);
-  checkin(std::move(client));
+  ConnectionPtr conn = checkout();
+  const bool ok = conn->client.release(lease);
+  // Answered either way: the lease is gone from the daemon.
+  forget(lease);
+  checkin(std::move(conn));
   return ok;
 }
 
 service::ServiceStats RemoteShard::stats() const {
-  ClientPtr client = checkout();
-  service::ServiceStats stats = client->stats();
-  checkin(std::move(client));
+  ConnectionPtr conn = checkout();
+  service::ServiceStats stats = conn->client.stats();
+  checkin(std::move(conn));
   return stats;
 }
 
 service::MetricsSnapshot RemoteShard::metrics() const {
-  ClientPtr client = checkout();
-  service::MetricsSnapshot snapshot = client->metrics();
-  checkin(std::move(client));
+  ConnectionPtr conn = checkout();
+  service::MetricsSnapshot snapshot = conn->client.metrics();
+  checkin(std::move(conn));
   return snapshot;
 }
 
 void RemoteShard::close() {
+  // Declared first: the connections close after the unlock, and the
+  // daemon reclaims the leases they still own.
+  std::vector<ConnectionPtr> dropped;
   std::lock_guard<OrderedMutex> lock(remote_mu_);
   closed_ = true;
-  idle_.clear();  // disconnects; the daemon reclaims any leaked leases
+  dropped = std::move(idle_);
+  std::move(parked_.begin(), parked_.end(), std::back_inserter(dropped));
+  idle_.clear();
+  parked_.clear();
 }
 
 void RemoteShard::invalidate_pool() {
+  std::vector<ConnectionPtr> dropped;  // declared first: close after unlock
   std::lock_guard<OrderedMutex> lock(remote_mu_);
-  idle_.clear();  // poisoned sockets; the next call dials fresh
+  // Poisoned sockets; the next call dials fresh. One that owns a live
+  // lease is parked instead: closing it would make the daemon, if it is
+  // alive after all, reclaim that lease under its holder.
+  for (ConnectionPtr& conn : idle_)
+    (owned_.contains(conn->serial) ? parked_ : dropped)
+        .push_back(std::move(conn));
+  idle_.clear();
 }
 
 std::size_t RemoteShard::idle_connections() const {

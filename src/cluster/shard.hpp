@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "service/client.hpp"
@@ -78,16 +79,23 @@ class LocalShard final : public Shard {
 };
 
 /// Socket-backed shard: a checkout pool of BundleClient connections to a
-/// shard daemon on 127.0.0.1:`port`. Each call checks a connection out,
-/// runs the round trip outside the pool lock, and returns it; broken
+/// shard daemon on port `port`. Each call checks a connection out, runs
+/// the round trip outside the pool lock, and returns it; broken
 /// connections are dropped (the daemon reclaims their leases). reserve()
 /// sends a ReserveRequest and keeps its connection checked out until the
 /// reservation is finished (the grant is the same connection's second
 /// reply).
+///
+/// The daemon releases every lease a closing connection still owns, so
+/// the pool closes a healthy connection only while it owns no live lease:
+/// the shard records which connection acquired or reserved each lease and
+/// clears the record on release, over whichever connection carries it.
 class RemoteShard final : public Shard {
  public:
-  /// `pool_cap` bounds the idle pool (ClusterConfig::remote_pool_cap):
-  /// checkins past the cap drop the connection instead of pooling it.
+  /// `pool_cap` bounds the lease-free idle pool
+  /// (ClusterConfig::remote_pool_cap): a checkin past the cap closes the
+  /// connection unless it owns a live lease, and a connection idle past
+  /// the cap closes once its last lease is released.
   explicit RemoteShard(std::uint16_t port, std::size_t pool_cap = 8)
       : port_(port), pool_cap_(pool_cap) {}
 
@@ -98,9 +106,11 @@ class RemoteShard final : public Shard {
   [[nodiscard]] service::MetricsSnapshot metrics() const override;
   void close() override;
 
-  /// Drops every idle connection (pool only -- the shard stays usable;
+  /// Takes every idle connection out of service (the shard stays usable;
   /// the next call dials fresh). Called when the router marks the shard
   /// down, since pooled sockets to a crashed daemon are all poisoned.
+  /// Lease-free ones close; the others are parked, never handed out
+  /// again, and close once their last lease is released.
   void invalidate_pool() override;
 
   /// Idle connections currently pooled (tests assert the cap holds).
@@ -109,16 +119,31 @@ class RemoteShard final : public Shard {
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
  private:
-  using ClientPtr = std::unique_ptr<service::BundleClient>;
+  /// One connection. `serial` names it in the lease records, which may
+  /// outlive it: a connection that breaks dies with its exception, and
+  /// its records go when the router releases their (reclaimed) leases.
+  struct Connection {
+    Connection(std::uint16_t port, std::uint64_t id)
+        : client(port), serial(id) {}
+    service::BundleClient client;
+    std::uint64_t serial;
+  };
+  using ConnectionPtr = std::unique_ptr<Connection>;
 
   /// A reserved sub-bundle: holds the connection that carries its grant.
   class Grant;
 
   /// Pops an idle connection or dials a new one. Never holds remote_mu_
   /// across the connect. (const: stats()/metrics() check out too.)
-  ClientPtr checkout() const;
-  /// Returns a healthy connection to the pool (dropped if closed).
-  void checkin(ClientPtr client) const;
+  ConnectionPtr checkout() const;
+  /// Returns a healthy connection to the pool, or closes it when the
+  /// shard is closed or the pool is full and it owns no live lease.
+  void checkin(ConnectionPtr conn) const;
+  /// Records `conn` as the owner of `lease`.
+  void record(LeaseId lease, const Connection& conn);
+  /// Clears the record of `lease`; closes its connection if that leaves
+  /// it lease-free while parked or idle past the cap.
+  void forget(LeaseId lease);
 
   std::uint16_t port_;
   std::size_t pool_cap_;
@@ -126,10 +151,13 @@ class RemoteShard final : public Shard {
   // Pool-only lock, below every shard-internal level and never held
   // across a wire round trip.
   // fbc:lock-level(7)
-  // fbc:guards(idle_)
-  // fbc:guards(closed_)
+  // fbc:guards(idle_, parked_, owner_, owned_, next_serial_, closed_)
   mutable OrderedMutex remote_mu_{7, "RemoteShard::remote_mu_"};
-  mutable std::vector<ClientPtr> idle_;
+  mutable std::vector<ConnectionPtr> idle_;
+  std::vector<ConnectionPtr> parked_;  ///< out of service, owning leases
+  std::unordered_map<LeaseId, std::uint64_t> owner_;    ///< lease -> serial
+  std::unordered_map<std::uint64_t, std::size_t> owned_;  ///< serial -> live
+  mutable std::uint64_t next_serial_ = 1;
   mutable bool closed_ = false;
 };
 

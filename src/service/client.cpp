@@ -6,12 +6,12 @@
 namespace fbc::service {
 
 BundleClient::BundleClient(std::uint16_t port)
-    : fd_(connect_loopback(port)), port_(port) {}
+    : fd_(connect_local(port)), port_(port) {}
 
 void BundleClient::reconnect() {
   fd_.reset();
   reader_ = FrameReader{};  // discard any half-read frame from before
-  fd_ = connect_loopback(port_);
+  fd_ = connect_local(port_);
 }
 
 void BundleClient::send(const Message& request) {

@@ -1,4 +1,5 @@
-// BundleClient: one synchronous connection to a BundleDaemon.
+// BundleClient: one synchronous connection to a BundleDaemon, over the
+// daemon's abstract Unix socket "@fbcd.<port>" (service/net.hpp).
 //
 // The client speaks the strict request/reply discipline the daemon
 // enforces, so a single BundleClient must not be shared across threads --
@@ -17,7 +18,8 @@ namespace fbc::service {
 /// Synchronous wire-protocol client (one connection, one thread).
 class BundleClient {
  public:
-  /// Connects to a daemon on 127.0.0.1:`port`. Throws NetError on refusal.
+  /// Connects to the daemon on port `port` through its Unix socket
+  /// "@fbcd.`port`". Throws NetError on refusal.
   explicit BundleClient(std::uint16_t port);
 
   /// Requests a lease on `files`. Blocks until the daemon replies (which

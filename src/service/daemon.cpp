@@ -1,8 +1,10 @@
 #include "service/daemon.hpp"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <utility>
@@ -16,8 +18,9 @@ BundleDaemon::BundleDaemon(ServingEndpoint& endpoint, std::uint16_t port,
                            std::size_t workers)
     : endpoint_(endpoint), pool_(std::make_unique<ThreadPool>(workers)) {
   // Bind in the body: listen_loopback writes port_, which a member
-  // initializer for listen_fd_ would race with port_'s own default init.
-  listen_fd_ = listen_loopback(port, &port_);
+  // initializer for tcp_fd_ would race with port_'s own default init.
+  tcp_fd_ = listen_loopback(port, &port_);
+  local_fd_ = listen_local(port_);
   acceptor_ = std::thread([this] { accept_loop(); });
 }
 
@@ -34,34 +37,61 @@ void BundleDaemon::stop() {
     // fbclint:ignore(L005) -- shutdown order across fds is irrelevant.
     for (const auto& [fd, unused] : live_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  listen_fd_.shutdown_both();
+  // A shut-down listener polls as hung up, which wakes the acceptor.
+  tcp_fd_.shutdown_both();
+  local_fd_.shutdown_both();
   if (acceptor_.joinable()) acceptor_.join();
   pool_.reset();
-  listen_fd_.reset();
+  tcp_fd_.reset();
+  local_fd_.reset();
 }
 
 void BundleDaemon::accept_loop() {
+  pollfd listeners[2] = {{tcp_fd_.get(), POLLIN, 0},
+                         {local_fd_.get(), POLLIN, 0}};
   while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_.get(), nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_acquire)) break;
-      const int error = errno;
-      if (error == EMFILE || error == ENFILE || error == ENOBUFS ||
-          error == ENOMEM) {
-        // Out of descriptors or memory: accept() fails at once until
-        // some free up, and the connection waits in the backlog, so an
-        // immediate retry would spin a core.
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    if (::poll(listeners, 2, -1) < 0) continue;  // EINTR
+    if (stopping_.load(std::memory_order_acquire)) break;
+    bool exhausted = false;
+    for (const pollfd& listener : listeners) {
+      if (listener.revents == 0) continue;
+      const int fd = ::accept(listener.fd, nullptr, nullptr);
+      if (fd < 0) {
+        const int error = errno;
+        exhausted = exhausted || error == EMFILE || error == ENFILE ||
+                    error == ENOBUFS || error == ENOMEM;
+        continue;  // EAGAIN / EINTR / transient accept failure
       }
-      continue;  // EINTR / transient accept failure
+      accepted_.fetch_add(1, std::memory_order_relaxed);
+      // Replies pipeline; Nagle would stall the 2nd frame over TCP.
+      if (listener.fd == tcp_fd_.get()) set_nodelay(fd);
+      // try_submit: the pool may be shutting down under us; then we just
+      // close the connection instead of crashing the acceptor.
+      auto queued = pool_->try_submit([this, fd] { serve_connection(fd); });
+      if (!queued.has_value()) ::close(fd);
     }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    set_nodelay(fd);  // replies pipeline; Nagle would stall the 2nd frame
-    // try_submit: the pool may be shutting down under us; then we just
-    // close the connection instead of crashing the acceptor.
-    auto queued = pool_->try_submit([this, fd] { serve_connection(fd); });
-    if (!queued.has_value()) ::close(fd);
+    if (exhausted) {
+      // Out of descriptors or memory: accept() fails at once until some
+      // free up, and the connection waits in the backlog, keeping its
+      // listener readable, so an immediate retry would spin a core.
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
   }
+}
+
+void BundleDaemon::track(LeaseId lease, int fd) {
+  std::lock_guard<OrderedMutex> lock(conn_mu_);
+  lease_owner_.emplace(lease, fd);
+}
+
+void BundleDaemon::untrack(LeaseId lease) {
+  std::lock_guard<OrderedMutex> lock(conn_mu_);
+  lease_owner_.erase(lease);
+}
+
+std::size_t BundleDaemon::tracked_leases() const {
+  std::lock_guard<OrderedMutex> lock(conn_mu_);
+  return lease_owner_.size();
 }
 
 void BundleDaemon::serve_connection(int raw_fd) {
@@ -70,8 +100,6 @@ void BundleDaemon::serve_connection(int raw_fd) {
     std::lock_guard<OrderedMutex> lock(conn_mu_);
     live_fds_.emplace(fd.get(), true);
   }
-  // Leases granted over this connection and not yet released by it.
-  std::vector<LeaseId> held;
   // Reply frames encoded but not yet written.
   std::vector<std::uint8_t> replies;
 
@@ -96,7 +124,7 @@ void BundleDaemon::serve_connection(int raw_fd) {
     if (auto* acq = std::get_if<AcquireRequestMsg>(&message)) {
       const Request request(std::move(acq->files));
       const AcquireResult r = endpoint_.acquire(request);
-      if (r.status == AcquireStatus::Ok) held.push_back(r.lease);
+      if (r.status == AcquireStatus::Ok) track(r.lease, fd.get());
       reply(acquire_reply(acq->cookie, r));
       return true;
     }
@@ -112,17 +140,19 @@ void BundleDaemon::serve_connection(int raw_fd) {
       // reply reaches the client before the fetch blocks this thread. A
       // client gone by now still gets its fetch run (the reservation's
       // destructor) and its lease reclaimed below.
-      held.push_back(reserved.lease);
+      track(reserved.lease, fd.get());
       reply(acquire_reply(res->cookie, reserved));
       if (!flush()) return false;
       const AcquireResult granted = finish(reservation);
-      if (granted.status != AcquireStatus::Ok) std::erase(held, reserved.lease);
+      if (granted.status != AcquireStatus::Ok) untrack(reserved.lease);
       reply(acquire_reply(res->cookie, granted));
       return true;
     }
     if (auto* rel = std::get_if<ReleaseRequestMsg>(&message)) {
+      // Whichever connection owned the lease, it owns it no longer; an
+      // id the endpoint does not know has no owner left to clear.
       const bool ok = endpoint_.release(rel->lease);
-      if (ok) std::erase(held, rel->lease);
+      untrack(rel->lease);
       reply(ReleaseReplyMsg{ok});
       return true;
     }
@@ -170,6 +200,23 @@ void BundleDaemon::serve_connection(int raw_fd) {
 
   // A connection that dies holding leases must not leave its bundles
   // pinned forever -- that would wedge every other client's admissions.
+  // They are claimed before the fd closes, so no entry outlives the fd
+  // number it names; a release racing in over another connection is
+  // harmless, as the endpoint answers the second release of a lease false.
+  std::vector<LeaseId> held;
+  {
+    std::lock_guard<OrderedMutex> lock(conn_mu_);
+    // fbclint:ignore(L005) -- sorted below, into lease-id order.
+    for (auto it = lease_owner_.begin(); it != lease_owner_.end();) {
+      if (it->second == fd.get()) {
+        held.push_back(it->first);
+        it = lease_owner_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  std::sort(held.begin(), held.end());
   for (LeaseId lease : held) {
     if (endpoint_.release(lease)) {
       reclaimed_.fetch_add(1, std::memory_order_relaxed);

@@ -1,15 +1,19 @@
-// BundleDaemon: serves the wire protocol over loopback TCP on top of a
-// ServingEndpoint (a single BundleServer, or a ClusterRouter fanning out
-// to N shards -- the daemon itself is endpoint-agnostic).
+// BundleDaemon: serves the wire protocol on top of a ServingEndpoint (a
+// single BundleServer, or a ClusterRouter fanning out to N shards -- the
+// daemon itself is endpoint-agnostic).
 //
-// One acceptor thread hands each connection to a util/thread_pool worker,
-// so up to `workers` clients are served concurrently; further connections
-// queue inside the pool. Each connection is a strict request/reply loop:
+// A daemon on port P listens on two local sockets: TCP 127.0.0.1:P (the
+// daemon's public name) and the abstract Unix socket "@fbcd.P", which is
+// what BundleClient dials. One acceptor thread polls both and hands each
+// connection to a util/thread_pool worker, so up to `workers` clients
+// are served concurrently; further connections queue inside the pool.
+// Each connection is a strict request/reply loop:
 // AcquireRequest -> AcquireReply, ReleaseRequest -> ReleaseReply,
 // StatsRequest -> StatsReply, and the one two-reply exchange,
 // ReserveRequest -> AcquireReply (reserved, written out at once) ->
-// AcquireReply (granted, once staged). Leases granted -- or reserved --
-// over a connection that disconnects without releasing them are
+// AcquireReply (granted, once staged). A lease belongs to the connection
+// that acquired (or reserved) it until a release over any connection
+// clears it; the leases a connection still owns when it disconnects are
 // auto-released, so a crashed client can never wedge the cache with
 // orphaned pins.
 #pragma once
@@ -28,12 +32,13 @@
 
 namespace fbc::service {
 
-/// TCP front-end for one ServingEndpoint.
+/// Socket front-end for one ServingEndpoint.
 class BundleDaemon {
  public:
-  /// Binds 127.0.0.1:`port` (0 = ephemeral) and starts accepting.
-  /// `endpoint` must outlive the daemon. `workers` bounds concurrently
-  /// served connections.
+  /// Binds 127.0.0.1:`port` (0 = ephemeral) and then "@fbcd.<bound
+  /// port>", and starts accepting: both sockets listen before this
+  /// returns. `endpoint` must outlive the daemon. `workers` bounds
+  /// concurrently served connections.
   BundleDaemon(ServingEndpoint& endpoint, std::uint16_t port,
                std::size_t workers);
 
@@ -56,6 +61,10 @@ class BundleDaemon {
     return reclaimed_.load(std::memory_order_relaxed);
   }
 
+  /// Live leases with an owning connection (tests: a lease released over
+  /// another connection than its own is no longer tracked).
+  [[nodiscard]] std::size_t tracked_leases() const;
+
   /// Initiates shutdown (idempotent; the destructor calls it too).
   void stop();
 
@@ -63,20 +72,30 @@ class BundleDaemon {
   void accept_loop();
   void serve_connection(int fd);
 
+  /// Records `fd` as the owner of `lease`.
+  void track(LeaseId lease, int fd);
+  /// Forgets `lease`, whichever connection owned it.
+  void untrack(LeaseId lease);
+
   ServingEndpoint& endpoint_;
-  UniqueFd listen_fd_;
+  UniqueFd tcp_fd_;
+  UniqueFd local_fd_;
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> reclaimed_{0};
 
   // Live connection fds, so stop() can shutdown() them and unblock the
-  // workers parked in recv. Held only over map ops and the (non-blocking)
-  // shutdown() syscall, never across server_ calls.
+  // workers parked in recv, and the owning connection of each live lease.
+  // A connection is named by its fd, which cannot be reused before
+  // serve_connection has claimed that connection's leases and closed it.
+  // Held only over map ops and the (non-blocking) shutdown() syscall,
+  // never across endpoint_ calls.
   // fbc:lock-level(70)
-  // fbc:guards(live_fds_)
-  OrderedMutex conn_mu_{70, "BundleDaemon::conn_mu_"};
+  // fbc:guards(live_fds_, lease_owner_)
+  mutable OrderedMutex conn_mu_{70, "BundleDaemon::conn_mu_"};
   std::unordered_map<int, bool> live_fds_;
+  std::unordered_map<LeaseId, int> lease_owner_;
 
   std::unique_ptr<ThreadPool> pool_;
   std::thread acceptor_;

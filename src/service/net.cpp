@@ -4,10 +4,12 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <csignal>
+#include <cstddef>
 #include <cstring>
 #include <vector>
 
@@ -17,6 +19,27 @@ namespace {
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw NetError(what + ": " + std::strerror(errno));
+}
+
+/// The abstract-namespace address "@fbcd.<port>": sun_path starts with a
+/// NUL byte, and the name is not NUL-terminated (its length is `*len`).
+sockaddr_un local_address(std::uint16_t port, socklen_t* len) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  const std::string name = "fbcd." + std::to_string(port);
+  std::memcpy(addr.sun_path + 1, name.data(), name.size());
+  *len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 +
+                                name.size());
+  return addr;
+}
+
+/// Connects `fd` to `addr`, retrying EINTR; throws NetError naming `what`.
+void connect_or_throw(int fd, const sockaddr* addr, socklen_t len,
+                      const std::string& what) {
+  while (::connect(fd, addr, len) != 0) {
+    if (errno == EINTR) continue;
+    throw_errno("connect(" + what + ")");
+  }
 }
 
 }  // namespace
@@ -33,7 +56,7 @@ void UniqueFd::shutdown_both() noexcept {
 }
 
 UniqueFd listen_loopback(std::uint16_t port, std::uint16_t* bound_port) {
-  UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  UniqueFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0));
   if (!fd.valid()) throw_errno("socket");
   const int one = 1;
   if (::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one) != 0)
@@ -64,15 +87,31 @@ UniqueFd connect_loopback(std::uint16_t port) {
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
-  for (;;) {
-    if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof addr) == 0)
-      break;
-    if (errno == EINTR) continue;
-    throw_errno("connect(127.0.0.1:" + std::to_string(port) + ")");
-  }
+  connect_or_throw(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof addr, "127.0.0.1:" + std::to_string(port));
   // Request/reply protocol: disable Nagle so small frames round-trip fast.
   set_nodelay(fd.get());
+  return fd;
+}
+
+UniqueFd listen_local(std::uint16_t port) {
+  UniqueFd fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0));
+  if (!fd.valid()) throw_errno("socket(AF_UNIX)");
+  socklen_t len = 0;
+  const sockaddr_un addr = local_address(port, &len);
+  if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr), len) != 0)
+    throw_errno("bind(@fbcd." + std::to_string(port) + ")");
+  if (::listen(fd.get(), SOMAXCONN) != 0) throw_errno("listen");
+  return fd;
+}
+
+UniqueFd connect_local(std::uint16_t port) {
+  UniqueFd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
+  if (!fd.valid()) throw_errno("socket(AF_UNIX)");
+  socklen_t len = 0;
+  const sockaddr_un addr = local_address(port, &len);
+  connect_or_throw(fd.get(), reinterpret_cast<const sockaddr*>(&addr), len,
+                   "@fbcd." + std::to_string(port));
   return fd;
 }
 

@@ -2,8 +2,13 @@
 // wrapper, full-buffer read/write loops that survive EINTR and short
 // transfers, and frame-level send/receive built on the wire protocol.
 //
-// Only loopback TCP is supported deliberately -- fbcd is a measurement
-// harness for the serving layer, not a hardened network daemon.
+// Only local transports are supported deliberately -- fbcd is a
+// measurement harness for the serving layer, not a hardened network
+// daemon. A daemon on port P listens on 127.0.0.1:P (TCP; P is its
+// public name) and on the Linux abstract-namespace Unix stream socket
+// "@fbcd.P". Every in-repo client dials the Unix socket: a round trip
+// there skips the TCP stack and its loopback softirq, which is most of
+// the CPU a co-located fleet spends per job.
 #pragma once
 
 #include <cstdint>
@@ -61,14 +66,23 @@ class NetError : public std::runtime_error {
 };
 
 /// Listens on 127.0.0.1:`port` (0 picks an ephemeral port). On return
-/// `*bound_port` holds the actual port.
+/// `*bound_port` holds the actual port. Like listen_local(), the listener
+/// is non-blocking: poll it, then accept() (accepted sockets block).
 [[nodiscard]] UniqueFd listen_loopback(std::uint16_t port,
                                        std::uint16_t* bound_port);
 
 /// Connects to 127.0.0.1:`port`.
 [[nodiscard]] UniqueFd connect_loopback(std::uint16_t port);
 
-/// Disables Nagle on `fd` (best effort). Both connection ends need this:
+/// Listens on the abstract Unix stream socket "@fbcd.`port`": no file
+/// is left behind, and the name is freed when the descriptor closes.
+/// Throws NetError if another socket holds the name.
+[[nodiscard]] UniqueFd listen_local(std::uint16_t port);
+
+/// Connects to the abstract Unix stream socket "@fbcd.`port`".
+[[nodiscard]] UniqueFd connect_local(std::uint16_t port);
+
+/// Disables Nagle on TCP socket `fd` (best effort). Both ends need this:
 /// with pipelined replies, a Nagled server socket holds its second
 /// back-to-back small frame until the client's delayed ACK (~40ms on
 /// Linux) -- the classic small-writes stall.

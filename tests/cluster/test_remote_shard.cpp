@@ -1,12 +1,15 @@
-// RemoteShard connection-pool tests against a live loopback daemon: the
+// RemoteShard connection-pool tests against a live local daemon: the
 // checkout/checkin reuse path, the remote_pool_cap bound (checkins past
-// the cap drop the socket instead of growing the pool without limit --
-// the idle-pool leak fix), invalidate_pool() clearing poisoned sockets
-// while leaving the shard usable, and wire-level acquire/release parity
-// with a LocalShard.
+// the cap drop a lease-free socket instead of growing the pool without
+// limit -- the idle-pool leak fix), the ownership rule that keeps every
+// connection owning a live lease open (closing it would make the daemon
+// reclaim that lease under its holder), invalidate_pool() clearing
+// poisoned sockets while leaving the shard usable, and wire-level
+// acquire/release parity with a LocalShard.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -22,6 +25,7 @@ namespace {
 using service::AcquireResult;
 using service::AcquireStatus;
 using service::BundleDaemon;
+using service::LeaseId;
 using service::BundleServer;
 using service::ServiceConfig;
 
@@ -33,7 +37,9 @@ struct DaemonFixture {
   std::unique_ptr<BundleDaemon> daemon;
 };
 
-DaemonFixture make_daemon(std::size_t files) {
+/// `time_scale` 1 makes every miss stage for 50 ms (the disk-pool tier).
+DaemonFixture make_daemon(std::size_t files, double time_scale = 0.0,
+                          std::size_t workers = 4) {
   DaemonFixture fixture;
   std::vector<Bytes> sizes(files, 100);
   fixture.catalog = FileCatalog(std::move(sizes));
@@ -41,9 +47,10 @@ DaemonFixture make_daemon(std::size_t files) {
       std::make_unique<MassStorageSystem>(default_tiers(), fixture.catalog);
   ServiceConfig config;
   config.cache_bytes = 4000;
-  config.time_scale = 0.0;
+  config.time_scale = time_scale;
   fixture.server = std::make_unique<BundleServer>(config, *fixture.mss);
-  fixture.daemon = std::make_unique<BundleDaemon>(*fixture.server, 0, 4);
+  fixture.daemon =
+      std::make_unique<BundleDaemon>(*fixture.server, 0, workers);
   return fixture;
 }
 
@@ -89,6 +96,61 @@ TEST(RemoteShard, IdlePoolIsBoundedByCap) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_LE(shard.idle_connections(), kCap);
+  shard.close();
+}
+
+TEST(RemoteShard, LeaseHoldersPastTheCapKeepTheirLeases) {
+  // Misses stage for 50 ms, so concurrent acquires of distinct files each
+  // hold their own connection: more lease holders than the pool's cap.
+  // The daemon serves every one of them (workers >= holders).
+  constexpr std::size_t kCap = 2;
+  constexpr int kHolders = 8;
+  DaemonFixture fixture = make_daemon(8, /*time_scale=*/1.0, kHolders);
+  RemoteShard shard(fixture.daemon->port(), kCap);
+  std::vector<LeaseId> leases(kHolders, 0);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kHolders);
+  for (int t = 0; t < kHolders; ++t) {
+    threads.emplace_back([&shard, &ready, &leases, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kHolders) std::this_thread::yield();
+      const AcquireResult r =
+          shard.acquire(Request({static_cast<FileId>(t)}));
+      if (r.status == AcquireStatus::Ok)
+        leases[static_cast<std::size_t>(t)] = r.lease;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_GT(fixture.daemon->connections_accepted(), kCap);
+  // Give the daemon time to act on any connection the pool closed.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(fixture.server->stats().active_leases,
+            static_cast<std::uint64_t>(kHolders));
+  for (const LeaseId lease : leases) {
+    ASSERT_NE(lease, 0u);
+    EXPECT_TRUE(shard.release(lease)) << lease;
+  }
+  EXPECT_EQ(fixture.daemon->leases_reclaimed(), 0u);
+  // Lease-free again, the connections past the cap are gone.
+  EXPECT_LE(shard.idle_connections(), kCap);
+  EXPECT_TRUE(fixture.server->audit().empty());
+  shard.close();
+}
+
+TEST(RemoteShard, InvalidatePoolParksConnectionsThatOwnLeases) {
+  DaemonFixture fixture = make_daemon(8);
+  RemoteShard shard(fixture.daemon->port());
+  const AcquireResult r = shard.acquire(Request({1}));
+  ASSERT_EQ(r.status, AcquireStatus::Ok);
+  shard.invalidate_pool();
+  EXPECT_EQ(shard.idle_connections(), 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // The lease survives: its connection is parked, not closed. The release
+  // travels over a fresh connection and then closes the parked one.
+  EXPECT_TRUE(shard.release(r.lease));
+  EXPECT_EQ(fixture.daemon->leases_reclaimed(), 0u);
+  EXPECT_EQ(fixture.daemon->connections_accepted(), 2u);
   shard.close();
 }
 

@@ -1,8 +1,10 @@
-// End-to-end daemon tests over real loopback sockets: the wire protocol
-// round-trips through BundleDaemon/BundleClient, concurrent clients are
-// served correctly, dead connections get their leases reclaimed,
-// malformed frames drop only the offending connection, and running out of
-// descriptors neither spins the acceptor nor stops it for good.
+// End-to-end daemon tests over real local sockets: the wire protocol
+// round-trips through BundleDaemon/BundleClient over the daemon's Unix
+// socket, raw TCP clients are still served, concurrent clients are
+// served correctly, dead connections get their leases reclaimed (and
+// only the leases they still own), malformed frames drop only the
+// offending connection, and running out of descriptors neither spins the
+// acceptor nor stops it for good.
 #include "service/daemon.hpp"
 
 #include <fcntl.h>
@@ -17,8 +19,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "grid/mss.hpp"
@@ -49,6 +53,81 @@ TEST(BundleDaemon, BindsEphemeralPortAndStops) {
   EXPECT_NE(fx.daemon->port(), 0);
   fx.daemon->stop();
   fx.daemon->stop();  // idempotent
+}
+
+TEST(BundleDaemon, ClientRightAfterConstructionIsServedOverTheLocalSocket) {
+  DaemonFixture fx;
+  // Both listeners are up once the constructor returns: no retry needed.
+  BundleClient client(fx.daemon->port());
+  const AcquireResult r = client.acquire({0});
+  ASSERT_EQ(r.status, AcquireStatus::Ok);
+  EXPECT_TRUE(client.release(r.lease));
+  EXPECT_EQ(fx.daemon->connections_accepted(), 1u);
+
+  // The socket BundleClient dials, "@fbcd.<port>", answers raw frames.
+  UniqueFd raw = connect_local(fx.daemon->port());
+  ASSERT_TRUE(send_message(raw.get(), AcquireRequestMsg{7, {1}}));
+  FrameReader reader;
+  const std::optional<Message> reply = reader.next(raw.get());
+  ASSERT_TRUE(reply.has_value());
+  const auto& acquired = std::get<AcquireReplyMsg>(*reply);
+  EXPECT_EQ(acquired.cookie, 7u);
+  EXPECT_EQ(acquired.status, AcquireStatus::Ok);
+  EXPECT_EQ(fx.daemon->connections_accepted(), 2u);
+}
+
+TEST(BundleDaemon, RawTcpClientIsStillServed) {
+  DaemonFixture fx;
+  UniqueFd raw = connect_loopback(fx.daemon->port());
+  std::vector<std::uint8_t> burst;
+  encode_frame(AcquireRequestMsg{1, {2, 3}}, &burst);
+  encode_frame(StatsRequestMsg{}, &burst);
+  ASSERT_TRUE(write_full(raw.get(), burst.data(), burst.size()));
+  FrameReader reader;
+  const std::optional<Message> acquired = reader.next(raw.get());
+  ASSERT_TRUE(acquired.has_value());
+  const auto& reply = std::get<AcquireReplyMsg>(*acquired);
+  EXPECT_EQ(reply.status, AcquireStatus::Ok);
+  const std::optional<Message> stats = reader.next(raw.get());
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(std::get<StatsReplyMsg>(*stats).stats.active_leases, 1u);
+  ASSERT_TRUE(send_message(raw.get(), ReleaseRequestMsg{reply.lease}));
+  const std::optional<Message> released = reader.next(raw.get());
+  ASSERT_TRUE(released.has_value());
+  EXPECT_EQ(std::get<ReleaseReplyMsg>(*released).ok, 1u);
+  EXPECT_EQ(fx.daemon->connections_accepted(), 1u);
+}
+
+TEST(BundleDaemon, ReconnectReachesADaemonRestartedOnTheSamePort) {
+  DaemonFixture fx;
+  const std::uint16_t port = fx.daemon->port();
+  BundleClient client(port);
+  EXPECT_EQ(client.stats().requests, 0u);
+  fx.daemon.reset();  // closes the server, frees the port and the name
+  EXPECT_THROW(client.reconnect(), NetError);
+
+  ServiceConfig config;
+  config.cache_bytes = 3000;
+  fx.server = std::make_unique<BundleServer>(config, fx.mss);
+  fx.daemon = std::make_unique<BundleDaemon>(*fx.server, port, 2);
+  ASSERT_EQ(fx.daemon->port(), port);
+  client.reconnect();
+  const AcquireResult r = client.acquire({1});
+  EXPECT_EQ(r.status, AcquireStatus::Ok);
+  EXPECT_EQ(fx.daemon->connections_accepted(), 1u);
+}
+
+TEST(BundleDaemon, TwoDaemonsOnDifferentPortsDoNotCollide) {
+  DaemonFixture first;
+  DaemonFixture second;
+  ASSERT_NE(first.daemon->port(), second.daemon->port());
+  BundleClient a(first.daemon->port());
+  BundleClient b(second.daemon->port());
+  ASSERT_EQ(a.acquire({0}).status, AcquireStatus::Ok);
+  EXPECT_EQ(a.stats().requests, 1u);
+  EXPECT_EQ(b.stats().requests, 0u);
+  EXPECT_EQ(first.daemon->connections_accepted(), 1u);
+  EXPECT_EQ(second.daemon->connections_accepted(), 1u);
 }
 
 TEST(BundleDaemon, AcquireReleaseStatsRoundTrip) {
@@ -130,6 +209,32 @@ TEST(BundleDaemon, ReclaimsLeasesOfDeadConnections) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   EXPECT_EQ(fx.server->stats().active_leases, 0u);
   EXPECT_EQ(fx.daemon->leases_reclaimed(), 1u);
+  EXPECT_TRUE(fx.server->audit().empty());
+}
+
+TEST(BundleDaemon, ReleaseOverAnotherConnectionClearsTheOwner) {
+  DaemonFixture fx;
+  BundleClient a(fx.daemon->port());
+  BundleClient b(fx.daemon->port());
+  // A connection pool releases over whichever connection is idle.
+  for (int i = 0; i < 100; ++i) {
+    const AcquireResult r = a.acquire({static_cast<FileId>(i % 4)});
+    ASSERT_EQ(r.status, AcquireStatus::Ok);
+    ASSERT_TRUE(b.release(r.lease));
+  }
+  EXPECT_EQ(fx.daemon->tracked_leases(), 0u);
+
+  // Closing A reclaims the one lease it still owns, and nothing else.
+  const AcquireResult kept = a.acquire({0});
+  ASSERT_EQ(kept.status, AcquireStatus::Ok);
+  EXPECT_EQ(fx.daemon->tracked_leases(), 1u);
+  a.disconnect();
+  for (int i = 0; i < 2000 && fx.daemon->leases_reclaimed() < 1; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(fx.daemon->leases_reclaimed(), 1u);
+  EXPECT_EQ(fx.daemon->tracked_leases(), 0u);
+  EXPECT_FALSE(b.release(kept.lease));
+  EXPECT_EQ(fx.server->stats().active_leases, 0u);
   EXPECT_TRUE(fx.server->audit().empty());
 }
 
@@ -281,10 +386,10 @@ int serve_after_descriptor_exhaustion() {
   if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) return fail(3, "setrlimit");
 
   // Take every descriptor but one, and give that one to a first client.
-  // Every accept() now fails with EMFILE at once, so the connection waits
-  // in the backlog. (An acceptor already blocked in accept() holds a
-  // descriptor it reserved before waiting and takes the connection first;
-  // its next accept() fails all the same.)
+  // The acceptor waits in poll() on both listening descriptors and holds
+  // no descriptor in reserve, so every accept() now fails with EMFILE at
+  // once while the connection waits in the local listener's backlog,
+  // keeping that listener readable.
   std::vector<int> fillers;
   for (int fd; (fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC)) >= 0;)
     fillers.push_back(fd);

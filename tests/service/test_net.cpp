@@ -3,12 +3,15 @@
 // non-blocking try_next state machine, mid-frame EOF handling, a frame
 // larger than one receive chunk, and buffer compaction with a partial
 // frame left in it. These pin the buffered transport that both the
-// daemon and BundleClient read every frame through.
+// daemon and BundleClient read every frame through. The LocalSocket
+// tests pin the abstract "@fbcd.<port>" name BundleClient dials.
 #include "service/net.hpp"
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+
+#include <cerrno>
 
 #include <algorithm>
 #include <cstdint>
@@ -17,6 +20,7 @@
 #include <variant>
 #include <vector>
 
+#include "service/client.hpp"
 #include "service/protocol.hpp"
 
 namespace fbc::service {
@@ -200,6 +204,44 @@ TEST(FrameReader, ManyFramesInUnevenPiecesSurviveCompaction) {
   EXPECT_GT(partial_headers_left, 0u);
   pair.a.reset();
   EXPECT_FALSE(reader.next(pair.b.get()).has_value());
+}
+
+/// Holds an ephemeral TCP port, so no daemon elsewhere binds it (and,
+/// with it, the local name "@fbcd.<port>") while the test runs.
+std::uint16_t hold_port(UniqueFd* holder) {
+  std::uint16_t port = 0;
+  *holder = listen_loopback(0, &port);
+  return port;
+}
+
+TEST(LocalSocket, BundleClientDialsTheAbstractNameOfItsPort) {
+  UniqueFd tcp;
+  const std::uint16_t port = hold_port(&tcp);
+  UniqueFd listener = listen_local(port);
+  BundleClient client(port);
+  // A local connect is queued by the time it returns; the listener is
+  // non-blocking, so an empty backlog would fail the accept.
+  UniqueFd accepted(::accept(listener.get(), nullptr, nullptr));
+  ASSERT_TRUE(accepted.valid());
+  int domain = 0;
+  socklen_t len = sizeof domain;
+  ASSERT_EQ(::getsockopt(accepted.get(), SOL_SOCKET, SO_DOMAIN, &domain, &len),
+            0);
+  EXPECT_EQ(domain, AF_UNIX);
+  // Nothing reached the TCP listener.
+  EXPECT_LT(::accept(tcp.get(), nullptr, nullptr), 0);
+  EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK);
+}
+
+TEST(LocalSocket, NameIsExclusiveAndFreedWhenTheListenerCloses) {
+  UniqueFd tcp;
+  const std::uint16_t port = hold_port(&tcp);
+  UniqueFd first = listen_local(port);
+  EXPECT_THROW((void)listen_local(port), NetError);
+  first.reset();
+  EXPECT_THROW((void)connect_local(port), NetError);
+  UniqueFd again = listen_local(port);
+  EXPECT_TRUE(connect_local(port).valid());
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 //
 // Generates a deterministic scenario workload, builds the MSS + cache +
 // policy stack, and serves bundle leases over the fbcd wire protocol on
-// loopback TCP:
+// TCP 127.0.0.1:PORT and the Unix socket "@fbcd.PORT" (clients dial the
+// latter):
 //
 //   fbcd --scenario=henp --cache=2GiB --policy=optfb --port=7401
 //   fbcd --port=0            # ephemeral port, printed on stdout

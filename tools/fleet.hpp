@@ -4,8 +4,10 @@
 // back to the parent, which blocks until the child prints its parseable
 // "fbcd: listening on 127.0.0.1:PORT ..." startup line and scrapes the
 // ephemeral port from it. The router then reaches the child through a
-// RemoteShard over the ordinary wire protocol -- the same deployment
-// shape as N daemons on N hosts, just co-located for CI.
+// RemoteShard over the ordinary wire protocol, on the daemon's abstract
+// Unix socket "@fbcd.PORT" (service/net.hpp): the fleet is co-located by
+// design, one host whose disk cache is split over processes, so no
+// connection crosses the TCP stack.
 //
 // Supervision is deliberately minimal: reap_exited() polls for dead
 // children (the router's health tracking handles the serving side of a
