@@ -52,8 +52,14 @@ void RemoteShard::checkin(ConnectionPtr conn) const {
 }
 
 void RemoteShard::record(LeaseId lease, const Connection& conn) {
+  ConnectionPtr dropped;  // declared first: closes after the unlock
   std::lock_guard<OrderedMutex> lock(remote_mu_);
-  owner_.emplace(lease, conn.serial);
+  const auto [owner, fresh] = owner_.try_emplace(lease, conn.serial);
+  if (!fresh) {
+    // A daemon restarted on the same port numbers its leases from 1
+    // again: the old record is of a lease that went with the old daemon.
+    dropped = disown(std::exchange(owner->second, conn.serial));
+  }
   ++owned_[conn.serial];
 }
 
@@ -64,12 +70,16 @@ void RemoteShard::forget(LeaseId lease) {
   if (owner == owner_.end()) return;
   const std::uint64_t serial = owner->second;
   owner_.erase(owner);
+  dropped = disown(serial);
+}
+
+RemoteShard::ConnectionPtr RemoteShard::disown(std::uint64_t serial) {
   const auto count = owned_.find(serial);
-  if (--count->second > 0) return;
+  if (--count->second > 0) return nullptr;
   owned_.erase(count);
-  dropped = take(parked_, serial);
-  if (dropped == nullptr && idle_.size() > pool_cap_)
-    dropped = take(idle_, serial);
+  ConnectionPtr parked = take(parked_, serial);
+  if (parked != nullptr || idle_.size() <= pool_cap_) return parked;
+  return take(idle_, serial);
 }
 
 service::AcquireResult RemoteShard::acquire(const Request& request) {
@@ -173,6 +183,11 @@ void RemoteShard::invalidate_pool() {
 std::size_t RemoteShard::idle_connections() const {
   std::lock_guard<OrderedMutex> lock(remote_mu_);
   return idle_.size();
+}
+
+std::size_t RemoteShard::lease_owning_connections() const {
+  std::lock_guard<OrderedMutex> lock(remote_mu_);
+  return owned_.size();
 }
 
 class FaultInjectionShard::Grant final : public service::PendingGrant {

@@ -116,6 +116,9 @@ class RemoteShard final : public Shard {
   /// Idle connections currently pooled (tests assert the cap holds).
   [[nodiscard]] std::size_t idle_connections() const;
 
+  /// Connections recorded as owning a live lease (tests).
+  [[nodiscard]] std::size_t lease_owning_connections() const;
+
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
  private:
@@ -139,11 +142,17 @@ class RemoteShard final : public Shard {
   /// Returns a healthy connection to the pool, or closes it when the
   /// shard is closed or the pool is full and it owns no live lease.
   void checkin(ConnectionPtr conn) const;
-  /// Records `conn` as the owner of `lease`.
+  /// Records `conn` as the owner of `lease`, replacing a stale record of
+  /// the same id.
   void record(LeaseId lease, const Connection& conn);
   /// Clears the record of `lease`; closes its connection if that leaves
   /// it lease-free while parked or idle past the cap.
   void forget(LeaseId lease);
+  /// Counts one lease fewer for connection `serial`; returns the
+  /// connection for the caller to close after the unlock if that leaves
+  /// it lease-free while parked or idle past the cap.
+  // fbc:requires(remote_mu_)
+  ConnectionPtr disown(std::uint64_t serial);
 
   std::uint16_t port_;
   std::size_t pool_cap_;

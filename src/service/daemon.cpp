@@ -1,6 +1,5 @@
 #include "service/daemon.hpp"
 
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -17,10 +16,10 @@ namespace fbc::service {
 BundleDaemon::BundleDaemon(ServingEndpoint& endpoint, std::uint16_t port,
                            std::size_t workers)
     : endpoint_(endpoint), pool_(std::make_unique<ThreadPool>(workers)) {
-  // Bind in the body: listen_loopback writes port_, which a member
-  // initializer for tcp_fd_ would race with port_'s own default init.
-  tcp_fd_ = listen_loopback(port, &port_);
-  local_fd_ = listen_local(port_);
+  // Bind in the body: bind_loopback writes port_, which a member
+  // initializer for name_fd_ would race with port_'s own default init.
+  name_fd_ = bind_loopback(port, &port_);
+  listen_fd_ = listen_local(port_);
   acceptor_ = std::thread([this] { accept_loop(); });
 }
 
@@ -37,45 +36,31 @@ void BundleDaemon::stop() {
     // fbclint:ignore(L005) -- shutdown order across fds is irrelevant.
     for (const auto& [fd, unused] : live_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  // A shut-down listener polls as hung up, which wakes the acceptor.
-  tcp_fd_.shutdown_both();
-  local_fd_.shutdown_both();
+  listen_fd_.shutdown_both();
   if (acceptor_.joinable()) acceptor_.join();
   pool_.reset();
-  tcp_fd_.reset();
-  local_fd_.reset();
+  listen_fd_.reset();
+  name_fd_.reset();
 }
 
 void BundleDaemon::accept_loop() {
-  pollfd listeners[2] = {{tcp_fd_.get(), POLLIN, 0},
-                         {local_fd_.get(), POLLIN, 0}};
   while (!stopping_.load(std::memory_order_acquire)) {
-    if (::poll(listeners, 2, -1) < 0) continue;  // EINTR
-    if (stopping_.load(std::memory_order_acquire)) break;
-    bool exhausted = false;
-    for (const pollfd& listener : listeners) {
-      if (listener.revents == 0) continue;
-      const int fd = ::accept(listener.fd, nullptr, nullptr);
-      if (fd < 0) {
-        const int error = errno;
-        exhausted = exhausted || error == EMFILE || error == ENFILE ||
-                    error == ENOBUFS || error == ENOMEM;
-        continue;  // EAGAIN / EINTR / transient accept failure
-      }
-      accepted_.fetch_add(1, std::memory_order_relaxed);
-      // Replies pipeline; Nagle would stall the 2nd frame over TCP.
-      if (listener.fd == tcp_fd_.get()) set_nodelay(fd);
-      // try_submit: the pool may be shutting down under us; then we just
-      // close the connection instead of crashing the acceptor.
-      auto queued = pool_->try_submit([this, fd] { serve_connection(fd); });
-      if (!queued.has_value()) ::close(fd);
-    }
-    if (exhausted) {
-      // Out of descriptors or memory: accept() fails at once until some
-      // free up, and the connection waits in the backlog, keeping its
-      // listener readable, so an immediate retry would spin a core.
+    const int fd = ::accept(listen_fd_.get(), nullptr, nullptr);
+    if (fd < 0) {
+      if (stopping_.load(std::memory_order_acquire)) break;
+      if (errno == EINTR) continue;
+      // Out of descriptors or memory (EMFILE, ENFILE, ENOBUFS, ENOMEM):
+      // accept() fails at once until some free up, and the connection
+      // waits in the backlog, so an immediate retry would spin a core.
+      // Any other failure backs off too rather than risk the same.
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      continue;
     }
+    accepted_.fetch_add(1, std::memory_order_relaxed);
+    // try_submit: the pool may be shutting down under us; then we just
+    // close the connection instead of crashing the acceptor.
+    auto queued = pool_->try_submit([this, fd] { serve_connection(fd); });
+    if (!queued.has_value()) ::close(fd);
   }
 }
 

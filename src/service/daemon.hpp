@@ -2,12 +2,12 @@
 // single BundleServer, or a ClusterRouter fanning out to N shards -- the
 // daemon itself is endpoint-agnostic).
 //
-// A daemon on port P listens on two local sockets: TCP 127.0.0.1:P (the
-// daemon's public name) and the abstract Unix socket "@fbcd.P", which is
-// what BundleClient dials. One acceptor thread polls both and hands each
-// connection to a util/thread_pool worker, so up to `workers` clients
-// are served concurrently; further connections queue inside the pool.
-// Each connection is a strict request/reply loop:
+// A daemon on port P serves the abstract Unix socket "@fbcd.P", which is
+// what BundleClient dials, and holds TCP 127.0.0.1:P bound without
+// listening, so the port stays its unique public name. One acceptor
+// thread hands each connection to a util/thread_pool worker, so up to
+// `workers` clients are served concurrently; further connections queue
+// inside the pool. Each connection is a strict request/reply loop:
 // AcquireRequest -> AcquireReply, ReleaseRequest -> ReleaseReply,
 // StatsRequest -> StatsReply, and the one two-reply exchange,
 // ReserveRequest -> AcquireReply (reserved, written out at once) ->
@@ -35,9 +35,9 @@ namespace fbc::service {
 /// Socket front-end for one ServingEndpoint.
 class BundleDaemon {
  public:
-  /// Binds 127.0.0.1:`port` (0 = ephemeral) and then "@fbcd.<bound
-  /// port>", and starts accepting: both sockets listen before this
-  /// returns. `endpoint` must outlive the daemon. `workers` bounds
+  /// Binds 127.0.0.1:`port` (0 = ephemeral) and then listens on
+  /// "@fbcd.<bound port>" before this returns, so a client may dial at
+  /// once. `endpoint` must outlive the daemon. `workers` bounds
   /// concurrently served connections.
   BundleDaemon(ServingEndpoint& endpoint, std::uint16_t port,
                std::size_t workers);
@@ -78,8 +78,8 @@ class BundleDaemon {
   void untrack(LeaseId lease);
 
   ServingEndpoint& endpoint_;
-  UniqueFd tcp_fd_;
-  UniqueFd local_fd_;
+  UniqueFd name_fd_;    ///< holds 127.0.0.1:port_ (bound, not listening)
+  UniqueFd listen_fd_;  ///< "@fbcd.<port_>"
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> accepted_{0};

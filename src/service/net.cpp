@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -33,15 +32,6 @@ sockaddr_un local_address(std::uint16_t port, socklen_t* len) {
   return addr;
 }
 
-/// Connects `fd` to `addr`, retrying EINTR; throws NetError naming `what`.
-void connect_or_throw(int fd, const sockaddr* addr, socklen_t len,
-                      const std::string& what) {
-  while (::connect(fd, addr, len) != 0) {
-    if (errno == EINTR) continue;
-    throw_errno("connect(" + what + ")");
-  }
-}
-
 }  // namespace
 
 void UniqueFd::reset() noexcept {
@@ -55,13 +45,11 @@ void UniqueFd::shutdown_both() noexcept {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
-UniqueFd listen_loopback(std::uint16_t port, std::uint16_t* bound_port) {
-  UniqueFd fd(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0));
+UniqueFd bind_loopback(std::uint16_t port, std::uint16_t* bound_port) {
+  // No SO_REUSEADDR: the socket never carries a connection, so nothing
+  // lingers in TIME_WAIT on the port, and the bind stays exclusive.
+  UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) throw_errno("socket");
-  const int one = 1;
-  if (::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one) != 0)
-    throw_errno("setsockopt(SO_REUSEADDR)");
-
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -69,7 +57,6 @@ UniqueFd listen_loopback(std::uint16_t port, std::uint16_t* bound_port) {
   if (::bind(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
              sizeof addr) != 0)
     throw_errno("bind(127.0.0.1:" + std::to_string(port) + ")");
-  if (::listen(fd.get(), SOMAXCONN) != 0) throw_errno("listen");
 
   sockaddr_in bound{};
   socklen_t len = sizeof bound;
@@ -79,23 +66,8 @@ UniqueFd listen_loopback(std::uint16_t port, std::uint16_t* bound_port) {
   return fd;
 }
 
-UniqueFd connect_loopback(std::uint16_t port) {
-  UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!fd.valid()) throw_errno("socket");
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  connect_or_throw(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
-                   sizeof addr, "127.0.0.1:" + std::to_string(port));
-  // Request/reply protocol: disable Nagle so small frames round-trip fast.
-  set_nodelay(fd.get());
-  return fd;
-}
-
 UniqueFd listen_local(std::uint16_t port) {
-  UniqueFd fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0));
+  UniqueFd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
   if (!fd.valid()) throw_errno("socket(AF_UNIX)");
   socklen_t len = 0;
   const sockaddr_un addr = local_address(port, &len);
@@ -110,14 +82,12 @@ UniqueFd connect_local(std::uint16_t port) {
   if (!fd.valid()) throw_errno("socket(AF_UNIX)");
   socklen_t len = 0;
   const sockaddr_un addr = local_address(port, &len);
-  connect_or_throw(fd.get(), reinterpret_cast<const sockaddr*>(&addr), len,
-                   "@fbcd." + std::to_string(port));
+  while (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                   len) != 0) {
+    if (errno == EINTR) continue;
+    throw_errno("connect(@fbcd." + std::to_string(port) + ")");
+  }
   return fd;
-}
-
-void set_nodelay(int fd) noexcept {
-  const int one = 1;
-  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 bool write_full(int fd, const std::uint8_t* data, std::size_t len) {

@@ -2,13 +2,13 @@
 // wrapper, full-buffer read/write loops that survive EINTR and short
 // transfers, and frame-level send/receive built on the wire protocol.
 //
-// Only local transports are supported deliberately -- fbcd is a
+// Only a local transport is supported deliberately -- fbcd is a
 // measurement harness for the serving layer, not a hardened network
-// daemon. A daemon on port P listens on 127.0.0.1:P (TCP; P is its
-// public name) and on the Linux abstract-namespace Unix stream socket
-// "@fbcd.P". Every in-repo client dials the Unix socket: a round trip
-// there skips the TCP stack and its loopback softirq, which is most of
-// the CPU a co-located fleet spends per job.
+// daemon. A daemon on port P serves the Linux abstract-namespace Unix
+// stream socket "@fbcd.P" and holds 127.0.0.1:P bound, without listening,
+// so the port stays its unique public name (0 allocates one). Over a
+// Unix socket a round trip skips the TCP stack and its loopback softirq,
+// which was most of the CPU a co-located fleet spent per job.
 #pragma once
 
 #include <cstdint>
@@ -65,14 +65,12 @@ class NetError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Listens on 127.0.0.1:`port` (0 picks an ephemeral port). On return
-/// `*bound_port` holds the actual port. Like listen_local(), the listener
-/// is non-blocking: poll it, then accept() (accepted sockets block).
-[[nodiscard]] UniqueFd listen_loopback(std::uint16_t port,
-                                       std::uint16_t* bound_port);
-
-/// Connects to 127.0.0.1:`port`.
-[[nodiscard]] UniqueFd connect_loopback(std::uint16_t port);
+/// Binds a TCP socket to 127.0.0.1:`port` (0 picks an ephemeral port)
+/// without listening: while it is open, no other socket binds that port.
+/// On return `*bound_port` holds the actual port. Throws NetError if the
+/// port is taken.
+[[nodiscard]] UniqueFd bind_loopback(std::uint16_t port,
+                                     std::uint16_t* bound_port);
 
 /// Listens on the abstract Unix stream socket "@fbcd.`port`": no file
 /// is left behind, and the name is freed when the descriptor closes.
@@ -81,12 +79,6 @@ class NetError : public std::runtime_error {
 
 /// Connects to the abstract Unix stream socket "@fbcd.`port`".
 [[nodiscard]] UniqueFd connect_local(std::uint16_t port);
-
-/// Disables Nagle on TCP socket `fd` (best effort). Both ends need this:
-/// with pipelined replies, a Nagled server socket holds its second
-/// back-to-back small frame until the client's delayed ACK (~40ms on
-/// Linux) -- the classic small-writes stall.
-void set_nodelay(int fd) noexcept;
 
 /// Writes all of `data`, retrying short writes and EINTR.
 /// Returns false once the peer is gone (EPIPE/ECONNRESET).

@@ -3,7 +3,8 @@
 // the cap drop a lease-free socket instead of growing the pool without
 // limit -- the idle-pool leak fix), the ownership rule that keeps every
 // connection owning a live lease open (closing it would make the daemon
-// reclaim that lease under its holder), invalidate_pool() clearing
+// reclaim that lease under its holder), a daemon restarted on the same
+// port reusing a recorded lease id, invalidate_pool() clearing
 // poisoned sockets while leaving the shard usable, and wire-level
 // acquire/release parity with a LocalShard.
 #include <gtest/gtest.h>
@@ -29,7 +30,7 @@ using service::LeaseId;
 using service::BundleServer;
 using service::ServiceConfig;
 
-/// A real shard daemon on an ephemeral loopback port.
+/// A real shard daemon on an ephemeral port.
 struct DaemonFixture {
   FileCatalog catalog;
   std::unique_ptr<MassStorageSystem> mss;
@@ -151,6 +152,36 @@ TEST(RemoteShard, InvalidatePoolParksConnectionsThatOwnLeases) {
   EXPECT_TRUE(shard.release(r.lease));
   EXPECT_EQ(fixture.daemon->leases_reclaimed(), 0u);
   EXPECT_EQ(fixture.daemon->connections_accepted(), 2u);
+  shard.close();
+}
+
+TEST(RemoteShard, DaemonRestartedOnTheSamePortReplacesAStaleLeaseRecord) {
+  DaemonFixture fixture = make_daemon(8);
+  const std::uint16_t port = fixture.daemon->port();
+  RemoteShard shard(port);
+  const AcquireResult stale = shard.acquire(Request({1}));
+  ASSERT_EQ(stale.status, AcquireStatus::Ok);
+  // The daemon goes down with the lease live, and the router's mark-down
+  // parks the connection that owns it.
+  fixture.daemon.reset();
+  shard.invalidate_pool();
+  EXPECT_EQ(shard.lease_owning_connections(), 1u);
+
+  // Restarted on the same port, the daemon numbers its leases from 1
+  // again, so a new grant reuses the id the stale record still holds.
+  ServiceConfig config;
+  config.cache_bytes = 4000;
+  fixture.server = std::make_unique<BundleServer>(config, *fixture.mss);
+  fixture.daemon = std::make_unique<BundleDaemon>(*fixture.server, port, 4);
+  const AcquireResult fresh = shard.acquire(Request({2}));
+  ASSERT_EQ(fresh.status, AcquireStatus::Ok);
+  ASSERT_EQ(fresh.lease, stale.lease);
+  // The new grant's connection owns the id; the parked one owns nothing
+  // and is closed.
+  EXPECT_EQ(shard.lease_owning_connections(), 1u);
+  EXPECT_TRUE(shard.release(fresh.lease));
+  EXPECT_EQ(shard.lease_owning_connections(), 0u);
+  EXPECT_EQ(fixture.daemon->leases_reclaimed(), 0u);
   shard.close();
 }
 

@@ -1,14 +1,17 @@
 // End-to-end daemon tests over real local sockets: the wire protocol
 // round-trips through BundleDaemon/BundleClient over the daemon's Unix
-// socket, raw TCP clients are still served, concurrent clients are
+// socket, the TCP port stays held but unserved, concurrent clients are
 // served correctly, dead connections get their leases reclaimed (and
 // only the leases they still own), malformed frames drop only the
 // offending connection, and running out of descriptors neither spins the
 // acceptor nor stops it for good.
 #include "service/daemon.hpp"
 
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -57,7 +60,7 @@ TEST(BundleDaemon, BindsEphemeralPortAndStops) {
 
 TEST(BundleDaemon, ClientRightAfterConstructionIsServedOverTheLocalSocket) {
   DaemonFixture fx;
-  // Both listeners are up once the constructor returns: no retry needed.
+  // The listener is up once the constructor returns: no retry needed.
   BundleClient client(fx.daemon->port());
   const AcquireResult r = client.acquire({0});
   ASSERT_EQ(r.status, AcquireStatus::Ok);
@@ -76,25 +79,27 @@ TEST(BundleDaemon, ClientRightAfterConstructionIsServedOverTheLocalSocket) {
   EXPECT_EQ(fx.daemon->connections_accepted(), 2u);
 }
 
-TEST(BundleDaemon, RawTcpClientIsStillServed) {
+TEST(BundleDaemon, PortIsHeldAsTheNameButNotServedOverTcp) {
   DaemonFixture fx;
-  UniqueFd raw = connect_loopback(fx.daemon->port());
-  std::vector<std::uint8_t> burst;
-  encode_frame(AcquireRequestMsg{1, {2, 3}}, &burst);
-  encode_frame(StatsRequestMsg{}, &burst);
-  ASSERT_TRUE(write_full(raw.get(), burst.data(), burst.size()));
-  FrameReader reader;
-  const std::optional<Message> acquired = reader.next(raw.get());
-  ASSERT_TRUE(acquired.has_value());
-  const auto& reply = std::get<AcquireReplyMsg>(*acquired);
-  EXPECT_EQ(reply.status, AcquireStatus::Ok);
-  const std::optional<Message> stats = reader.next(raw.get());
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_EQ(std::get<StatsReplyMsg>(*stats).stats.active_leases, 1u);
-  ASSERT_TRUE(send_message(raw.get(), ReleaseRequestMsg{reply.lease}));
-  const std::optional<Message> released = reader.next(raw.get());
-  ASSERT_TRUE(released.has_value());
-  EXPECT_EQ(std::get<ReleaseReplyMsg>(*released).ok, 1u);
+  const std::uint16_t port = fx.daemon->port();
+  // No other socket, and so no other daemon, can take the port.
+  EXPECT_THROW((void)bind_loopback(port, nullptr), NetError);
+  EXPECT_THROW((void)std::make_unique<BundleDaemon>(*fx.server, port, 1),
+               NetError);
+  // Nothing listens on it over TCP.
+  UniqueFd tcp(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(tcp.valid());
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  EXPECT_NE(::connect(tcp.get(), reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  EXPECT_EQ(errno, ECONNREFUSED);
+  // The daemon still serves its local socket.
+  BundleClient client(port);
+  EXPECT_EQ(client.acquire({0}).status, AcquireStatus::Ok);
   EXPECT_EQ(fx.daemon->connections_accepted(), 1u);
 }
 
@@ -242,7 +247,7 @@ TEST(BundleDaemon, MalformedFrameDropsOnlyThatConnection) {
   DaemonFixture fx;
   {
     // Raw connection sending an unknown message type.
-    UniqueFd raw = connect_loopback(fx.daemon->port());
+    UniqueFd raw = connect_local(fx.daemon->port());
     const std::uint8_t bogus[kFrameHeaderBytes] = {0, 0, 0, 0, 42};
     ASSERT_TRUE(write_full(raw.get(), bogus, sizeof bogus));
     // The daemon closes the connection: next read sees EOF.
@@ -258,7 +263,7 @@ TEST(BundleDaemon, MalformedFrameDropsOnlyThatConnection) {
 
 TEST(BundleDaemon, ReplyTypeFromClientIsRejected) {
   DaemonFixture fx;
-  UniqueFd raw = connect_loopback(fx.daemon->port());
+  UniqueFd raw = connect_local(fx.daemon->port());
   ASSERT_TRUE(send_message(raw.get(), ReleaseReplyMsg{1}));
   std::uint8_t byte = 0;
   EXPECT_FALSE(read_full(raw.get(), &byte, 1));  // connection dropped
@@ -386,10 +391,10 @@ int serve_after_descriptor_exhaustion() {
   if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) return fail(3, "setrlimit");
 
   // Take every descriptor but one, and give that one to a first client.
-  // The acceptor waits in poll() on both listening descriptors and holds
-  // no descriptor in reserve, so every accept() now fails with EMFILE at
-  // once while the connection waits in the local listener's backlog,
-  // keeping that listener readable.
+  // Every accept() now fails with EMFILE at once, so the connection waits
+  // in the backlog. (An acceptor already blocked in accept() holds a
+  // descriptor it reserved before waiting and takes the connection first;
+  // its next accept() fails all the same.)
   std::vector<int> fillers;
   for (int fd; (fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC)) >= 0;)
     fillers.push_back(fd);

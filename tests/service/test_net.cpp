@@ -11,8 +11,6 @@
 
 #include <sys/socket.h>
 
-#include <cerrno>
-
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
@@ -210,7 +208,7 @@ TEST(FrameReader, ManyFramesInUnevenPiecesSurviveCompaction) {
 /// with it, the local name "@fbcd.<port>") while the test runs.
 std::uint16_t hold_port(UniqueFd* holder) {
   std::uint16_t port = 0;
-  *holder = listen_loopback(0, &port);
+  *holder = bind_loopback(0, &port);
   return port;
 }
 
@@ -219,8 +217,8 @@ TEST(LocalSocket, BundleClientDialsTheAbstractNameOfItsPort) {
   const std::uint16_t port = hold_port(&tcp);
   UniqueFd listener = listen_local(port);
   BundleClient client(port);
-  // A local connect is queued by the time it returns; the listener is
-  // non-blocking, so an empty backlog would fail the accept.
+  // A local connect is queued by the time it returns, so this accept
+  // does not wait.
   UniqueFd accepted(::accept(listener.get(), nullptr, nullptr));
   ASSERT_TRUE(accepted.valid());
   int domain = 0;
@@ -228,9 +226,6 @@ TEST(LocalSocket, BundleClientDialsTheAbstractNameOfItsPort) {
   ASSERT_EQ(::getsockopt(accepted.get(), SOL_SOCKET, SO_DOMAIN, &domain, &len),
             0);
   EXPECT_EQ(domain, AF_UNIX);
-  // Nothing reached the TCP listener.
-  EXPECT_LT(::accept(tcp.get(), nullptr, nullptr), 0);
-  EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK);
 }
 
 TEST(LocalSocket, NameIsExclusiveAndFreedWhenTheListenerCloses) {

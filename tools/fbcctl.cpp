@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
   CliParser cli(
       "fbcctl",
       "One-shot fbcd client: fbcctl <stats|metrics|acquire|release> ...");
-  cli.add_option("port", "fbcd port on 127.0.0.1", "7401");
+  cli.add_option("port", "fbcd port (dials @fbcd.PORT)", "7401");
   cli.add_option("cluster",
                  "comma-separated daemon ports; stats/metrics are merged "
                  "over all of them",

@@ -2,8 +2,8 @@
 //
 // Generates a deterministic scenario workload, builds the MSS + cache +
 // policy stack, and serves bundle leases over the fbcd wire protocol on
-// TCP 127.0.0.1:PORT and the Unix socket "@fbcd.PORT" (clients dial the
-// latter):
+// the Unix socket "@fbcd.PORT" (TCP 127.0.0.1:PORT is held as its name,
+// not served):
 //
 //   fbcd --scenario=henp --cache=2GiB --policy=optfb --port=7401
 //   fbcd --port=0            # ephemeral port, printed on stdout
@@ -34,7 +34,10 @@ int main(int argc, char** argv) {
   CliParser cli("fbcd", "Serve bundle leases over the fbcd wire protocol");
   tools::add_service_options(cli);
   tools::add_scenario_options(cli);
-  cli.add_option("port", "TCP port on 127.0.0.1 (0 = ephemeral)", "7401");
+  cli.add_option("port",
+                 "port held on 127.0.0.1, naming socket @fbcd.PORT "
+                 "(0 = ephemeral)",
+                 "7401");
   cli.add_option("workers", "connection handler threads", "8");
 
   try {

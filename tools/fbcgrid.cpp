@@ -64,7 +64,10 @@ int main(int argc, char** argv) {
   tools::add_service_options(cli);
   tools::add_scenario_options(cli);
   tools::add_cluster_options(cli);
-  cli.add_option("port", "TCP port on 127.0.0.1 (0 = ephemeral)", "7402");
+  cli.add_option("port",
+                 "port held on 127.0.0.1, naming socket @fbcd.PORT "
+                 "(0 = ephemeral)",
+                 "7402");
   cli.add_option("workers", "connection handler threads", "8");
   cli.add_flag("spawn-remote",
                "fork one fbcd shard daemon per shard and route to them "
