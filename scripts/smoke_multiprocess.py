@@ -21,17 +21,16 @@ shards and every miss stages for milliseconds, so the kill lands while
 scattered parts are reserved but still staging (the shard dies between
 Reserved and Granted).
 
-With --workers=32 --connections=24 the router serves more concurrent
-jobs than a RemoteShard pools idle connections (remote_pool_cap, 8), so
-more connections than the cap own live shard leases at once; the shards
-get the same --workers, as a shard must serve every connection the
-router opens to it. A pool that closed such a connection would make
-the shard reclaim leases their clients still hold, and their releases
-would fail.
+With --connections=24 the router serves more concurrent jobs than a
+RemoteShard pools idle connections (RemoteShard::kPoolCap, 8), so more
+connections than the cap own live shard leases at once, and each shard
+serves every one of them on its own thread. A pool that closed such a
+connection would make the shard reclaim leases their clients still
+hold, and their releases would fail.
 
 Usage: smoke_multiprocess.py [--build=build] [--requests=2000]
                              [--placement=affinity|hash] [--time-scale=0]
-                             [--workers=8] [--connections=8]
+                             [--connections=8]
 """
 
 import argparse
@@ -125,8 +124,6 @@ def main():
     parser.add_argument("--time-scale", default="0",
                         help="fbcgrid --time-scale: wall seconds slept per "
                              "simulated staging second")
-    parser.add_argument("--workers", type=int, default=8,
-                        help="fbcgrid --workers (router and shards)")
     parser.add_argument("--connections", type=int, default=8,
                         help="fbcload -c: concurrent client connections")
     args = parser.parse_args()
@@ -142,7 +139,6 @@ def main():
             f"--cache={CACHE}",
             f"--placement={args.placement}",
             f"--time-scale={args.time_scale}",
-            f"--workers={args.workers}",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,

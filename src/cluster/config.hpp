@@ -71,12 +71,6 @@ inline const char* to_string(PlacementMode mode) noexcept {
     "extra MSS replica sites for replica-aware fetch (0 = plain MSS)")        \
   X(std::uint32_t, replicate_hot, 0, "replicate-hot",                         \
     "hottest files replicated to every replica site")                         \
-  /* Checkins past the cap close a lease-free connection instead of           \
-     pooling it, so a burst of stats calls cannot grow the pool without       \
-     bound; a connection that owns a live lease stays open until it is        \
-     released (the daemon would reclaim it). */                               \
-  X(std::size_t, remote_pool_cap, 8, "remote-pool-cap",                       \
-    "lease-free idle connections kept per remote shard daemon")               \
   /* The router then stops routing requests to the shard (degraded            \
      placement). */                                                           \
   X(std::uint32_t, down_threshold, 3, "down-threshold",                       \

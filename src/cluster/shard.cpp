@@ -44,7 +44,7 @@ void RemoteShard::checkin(ConnectionPtr conn) const {
   // Closed: close() already tore the pool down. Full: a lease-free
   // connection goes, so the idle pool stays bounded.
   if (closed_ ||
-      (idle_.size() >= pool_cap_ && !owned_.contains(conn->serial))) {
+      (idle_.size() >= kPoolCap && !owned_.contains(conn->serial))) {
     dropped = std::move(conn);
     return;
   }
@@ -78,7 +78,7 @@ RemoteShard::ConnectionPtr RemoteShard::disown(std::uint64_t serial) {
   if (--count->second > 0) return nullptr;
   owned_.erase(count);
   ConnectionPtr parked = take(parked_, serial);
-  if (parked != nullptr || idle_.size() <= pool_cap_) return parked;
+  if (parked != nullptr || idle_.size() <= kPoolCap) return parked;
   return take(idle_, serial);
 }
 

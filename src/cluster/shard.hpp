@@ -30,7 +30,7 @@ namespace fbc::cluster {
 using service::LeaseId;
 
 /// One BundleServer as seen by the router. Thread-safe: the router calls
-/// acquire/reserve/release from many daemon workers concurrently.
+/// acquire/reserve/release from many daemon connection threads at once.
 class Shard {
  public:
   virtual ~Shard() = default;
@@ -92,12 +92,14 @@ class LocalShard final : public Shard {
 /// clears the record on release, over whichever connection carries it.
 class RemoteShard final : public Shard {
  public:
-  /// `pool_cap` bounds the lease-free idle pool
-  /// (ClusterConfig::remote_pool_cap): a checkin past the cap closes the
-  /// connection unless it owns a live lease, and a connection idle past
-  /// the cap closes once its last lease is released.
-  explicit RemoteShard(std::uint16_t port, std::size_t pool_cap = 8)
-      : port_(port), pool_cap_(pool_cap) {}
+  /// Bounds the lease-free idle pool, so a burst of stats calls cannot
+  /// grow it without limit: a checkin past the cap closes the connection
+  /// unless it owns a live lease (the daemon would reclaim that lease),
+  /// and a connection idle past the cap closes once its last lease is
+  /// released.
+  static constexpr std::size_t kPoolCap = 8;
+
+  explicit RemoteShard(std::uint16_t port) : port_(port) {}
 
   service::AcquireResult acquire(const Request& request) override;
   service::Reservation reserve(const Request& request) override;
@@ -155,7 +157,6 @@ class RemoteShard final : public Shard {
   ConnectionPtr disown(std::uint64_t serial);
 
   std::uint16_t port_;
-  std::size_t pool_cap_;
 
   // Pool-only lock, below every shard-internal level and never held
   // across a wire round trip.

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -13,9 +14,8 @@
 
 namespace fbc::service {
 
-BundleDaemon::BundleDaemon(ServingEndpoint& endpoint, std::uint16_t port,
-                           std::size_t workers)
-    : endpoint_(endpoint), pool_(std::make_unique<ThreadPool>(workers)) {
+BundleDaemon::BundleDaemon(ServingEndpoint& endpoint, std::uint16_t port)
+    : endpoint_(endpoint) {
   // Bind in the body: bind_loopback writes port_, which a member
   // initializer for name_fd_ would race with port_'s own default init.
   name_fd_ = bind_loopback(port, &port_);
@@ -27,18 +27,26 @@ BundleDaemon::~BundleDaemon() { stop(); }
 
 void BundleDaemon::stop() {
   if (stopping_.exchange(true)) return;
-  // Order matters: wake queued acquires first so pool workers can finish,
-  // then unblock workers parked in recv, then unblock the acceptor, then
-  // join everything. pool_ destruction drains the remaining tasks.
+  // Order matters: wake queued acquires first so connection threads can
+  // finish, then stop the acceptor, so that every connection it accepted
+  // is in connections_, then unblock the threads parked in recv and join
+  // them all.
   endpoint_.close();
+  listen_fd_.shutdown_both();
+  if (acceptor_.joinable()) acceptor_.join();
+  std::unordered_map<int, std::thread> live;
+  std::thread last;
   {
     std::lock_guard<OrderedMutex> lock(conn_mu_);
     // fbclint:ignore(L005) -- shutdown order across fds is irrelevant.
-    for (const auto& [fd, unused] : live_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (const auto& [fd, unused] : connections_) ::shutdown(fd, SHUT_RDWR);
+    live.swap(connections_);
+    last = std::move(finished_);
   }
-  listen_fd_.shutdown_both();
-  if (acceptor_.joinable()) acceptor_.join();
-  pool_.reset();
+  for (auto& [fd, thread] : live) thread.join();
+  // Joins, through each ended thread joining the one before it, every
+  // connection thread that ended before the sweep.
+  if (last.joinable()) last.join();
   listen_fd_.reset();
   name_fd_.reset();
 }
@@ -57,10 +65,19 @@ void BundleDaemon::accept_loop() {
       continue;
     }
     accepted_.fetch_add(1, std::memory_order_relaxed);
-    // try_submit: the pool may be shutting down under us; then we just
-    // close the connection instead of crashing the acceptor.
-    auto queued = pool_->try_submit([this, fd] { serve_connection(fd); });
-    if (!queued.has_value()) ::close(fd);
+    try {
+      // Started under the lock: the thread cannot leave connections_
+      // before it is in it.
+      std::lock_guard<OrderedMutex> lock(conn_mu_);
+      connections_.emplace(
+          fd, std::thread([this, fd] { serve_connection(fd); }));
+    } catch (const std::system_error& e) {
+      // Out of threads: drop the connection and back off as for a failed
+      // accept().
+      FBC_LOG(Warn) << "fbcd: dropping connection: " << e.what();
+      ::close(fd);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
   }
 }
 
@@ -81,10 +98,6 @@ std::size_t BundleDaemon::tracked_leases() const {
 
 void BundleDaemon::serve_connection(int raw_fd) {
   UniqueFd fd(raw_fd);
-  {
-    std::lock_guard<OrderedMutex> lock(conn_mu_);
-    live_fds_.emplace(fd.get(), true);
-  }
   // Reply frames encoded but not yet written.
   std::vector<std::uint8_t> replies;
 
@@ -207,8 +220,20 @@ void BundleDaemon::serve_connection(int raw_fd) {
       reclaimed_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  std::lock_guard<OrderedMutex> lock(conn_mu_);
-  live_fds_.erase(fd.get());
+
+  // Leave connections_ before the fd closes. This thread cannot join
+  // itself, so it waits in finished_ for the next connection to end (or
+  // for stop()) and joins the one that waited there before it. That one
+  // is past this point, so the join returns at once. Once stop() has
+  // taken connections_, stop() joins this thread instead.
+  std::thread previous;
+  {
+    std::lock_guard<OrderedMutex> lock(conn_mu_);
+    auto self = connections_.extract(fd.get());
+    if (self.empty()) return;
+    previous = std::exchange(finished_, std::move(self.mapped()));
+  }
+  if (previous.joinable()) previous.join();
 }
 
 }  // namespace fbc::service

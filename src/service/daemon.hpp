@@ -5,9 +5,10 @@
 // A daemon on port P serves the abstract Unix socket "@fbcd.P", which is
 // what BundleClient dials, and holds TCP 127.0.0.1:P bound without
 // listening, so the port stays its unique public name. One acceptor
-// thread hands each connection to a util/thread_pool worker, so up to
-// `workers` clients are served concurrently; further connections queue
-// inside the pool. Each connection is a strict request/reply loop:
+// thread starts one thread per accepted connection, so a client is served
+// however many others hold their connections open; the thread ends with
+// its connection. Each connection holds a descriptor, so RLIMIT_NOFILE
+// bounds the thread count. Each connection is a strict request/reply loop:
 // AcquireRequest -> AcquireReply, ReleaseRequest -> ReleaseReply,
 // StatsRequest -> StatsReply, and the one two-reply exchange,
 // ReserveRequest -> AcquireReply (reserved, written out at once) ->
@@ -20,7 +21,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -28,7 +28,6 @@
 #include "service/endpoint.hpp"
 #include "service/net.hpp"
 #include "util/ordered_mutex.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fbc::service {
 
@@ -37,10 +36,8 @@ class BundleDaemon {
  public:
   /// Binds 127.0.0.1:`port` (0 = ephemeral) and then listens on
   /// "@fbcd.<bound port>" before this returns, so a client may dial at
-  /// once. `endpoint` must outlive the daemon. `workers` bounds
-  /// concurrently served connections.
-  BundleDaemon(ServingEndpoint& endpoint, std::uint16_t port,
-               std::size_t workers);
+  /// once. `endpoint` must outlive the daemon.
+  BundleDaemon(ServingEndpoint& endpoint, std::uint16_t port);
 
   /// Stops accepting, closes the server and every live connection, joins.
   ~BundleDaemon();
@@ -85,19 +82,21 @@ class BundleDaemon {
   std::atomic<std::uint64_t> accepted_{0};
   std::atomic<std::uint64_t> reclaimed_{0};
 
-  // Live connection fds, so stop() can shutdown() them and unblock the
-  // workers parked in recv, and the owning connection of each live lease.
-  // A connection is named by its fd, which cannot be reused before
-  // serve_connection has claimed that connection's leases and closed it.
-  // Held only over map ops and the (non-blocking) shutdown() syscall,
-  // never across endpoint_ calls.
+  // The thread of each live connection by fd, so stop() can shutdown()
+  // them and unblock the threads parked in recv; the thread of the last
+  // connection to end, which the next one to end joins; and the owning
+  // connection of each live lease. A connection is named by its fd, which
+  // cannot be reused before serve_connection has claimed that
+  // connection's leases, left connections_ and closed it. Held only over
+  // map ops, thread creation and the (non-blocking) shutdown() syscall,
+  // never across endpoint_ calls or a join.
   // fbc:lock-level(70)
-  // fbc:guards(live_fds_, lease_owner_)
+  // fbc:guards(connections_, finished_, lease_owner_)
   mutable OrderedMutex conn_mu_{70, "BundleDaemon::conn_mu_"};
-  std::unordered_map<int, bool> live_fds_;
+  std::unordered_map<int, std::thread> connections_;
+  std::thread finished_;
   std::unordered_map<LeaseId, int> lease_owner_;
 
-  std::unique_ptr<ThreadPool> pool_;
   std::thread acceptor_;
 };
 

@@ -3,7 +3,7 @@
 // The simulator is a library, so logging is off (Warn) by default and all
 // output goes to stderr, keeping stdout clean for benchmark tables. The
 // level is a process-wide atomic, and every message goes through a single
-// mutex-guarded sink, so concurrent callers (sweep workers, fbcd pool
+// mutex-guarded sink, so concurrent callers (sweep workers, fbcd connection
 // threads) can never interleave characters within a line.
 #pragma once
 

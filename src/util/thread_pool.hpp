@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <functional>
 #include <future>
-#include <optional>
 #include <queue>
 #include <thread>
 #include <vector>
@@ -50,29 +49,6 @@ class ThreadPool {
       std::lock_guard<OrderedMutex> lock(pool_mu_);
       if (stopping_)
         throw std::runtime_error("ThreadPool: submit after shutdown");
-      tasks_.emplace([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return future;
-  }
-
-  /// Non-throwing submit for callers that race pool shutdown (the fbcd
-  /// accept loop hands connections to the pool while stop may already be
-  /// in progress). Returns std::nullopt instead of throwing once the pool
-  /// is stopping; the caller cleanly rejects the work.
-  template <typename F, typename... Args>
-  auto try_submit(F&& fn, Args&&... args)
-      -> std::optional<std::future<std::invoke_result_t<F, Args...>>> {
-    using Result = std::invoke_result_t<F, Args...>;
-    auto task = std::make_shared<std::packaged_task<Result()>>(
-        [fn = std::forward<F>(fn),
-         ... captured = std::forward<Args>(args)]() mutable {
-          return std::invoke(std::move(fn), std::move(captured)...);
-        });
-    std::future<Result> future = task->get_future();
-    {
-      std::lock_guard<OrderedMutex> lock(pool_mu_);
-      if (stopping_) return std::nullopt;
       tasks_.emplace([task] { (*task)(); });
     }
     cv_.notify_one();

@@ -401,7 +401,7 @@ TEST(Failover, RemoteShardDroppedAfterTheReservedReplyIsReplannedUnseen) {
   BundleServer local(service, mss);
   BundleServer remote(service, mss);
   DropBeforeGrantEndpoint dropping(remote);
-  service::BundleDaemon daemon(dropping, /*port=*/0, 2);
+  service::BundleDaemon daemon(dropping, /*port=*/0);
 
   std::vector<std::unique_ptr<Shard>> shards;
   shards.push_back(std::make_unique<LocalShard>(local));

@@ -1,5 +1,5 @@
 // RemoteShard connection-pool tests against a live local daemon: the
-// checkout/checkin reuse path, the remote_pool_cap bound (checkins past
+// checkout/checkin reuse path, the kPoolCap bound (checkins past
 // the cap drop a lease-free socket instead of growing the pool without
 // limit -- the idle-pool leak fix), the ownership rule that keeps every
 // connection owning a live lease open (closing it would make the daemon
@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -39,8 +40,7 @@ struct DaemonFixture {
 };
 
 /// `time_scale` 1 makes every miss stage for 50 ms (the disk-pool tier).
-DaemonFixture make_daemon(std::size_t files, double time_scale = 0.0,
-                          std::size_t workers = 4) {
+DaemonFixture make_daemon(std::size_t files, double time_scale = 0.0) {
   DaemonFixture fixture;
   std::vector<Bytes> sizes(files, 100);
   fixture.catalog = FileCatalog(std::move(sizes));
@@ -50,8 +50,7 @@ DaemonFixture make_daemon(std::size_t files, double time_scale = 0.0,
   config.cache_bytes = 4000;
   config.time_scale = time_scale;
   fixture.server = std::make_unique<BundleServer>(config, *fixture.mss);
-  fixture.daemon =
-      std::make_unique<BundleDaemon>(*fixture.server, 0, workers);
+  fixture.daemon = std::make_unique<BundleDaemon>(*fixture.server, 0);
   return fixture;
 }
 
@@ -78,13 +77,12 @@ TEST(RemoteShard, SerialCallsReuseOnePooledConnection) {
 
 TEST(RemoteShard, IdlePoolIsBoundedByCap) {
   DaemonFixture fixture = make_daemon(8);
-  constexpr std::size_t kCap = 2;
-  RemoteShard shard(fixture.daemon->port(), kCap);
+  RemoteShard shard(fixture.daemon->port());
   // Many concurrent callers force the pool past the cap: each one checks
   // a connection out (dialing fresh when the pool is empty) and checks
   // it back in. Whatever the interleaving, checkins past the cap must
   // drop the socket rather than grow the pool.
-  constexpr int kThreads = 8;
+  constexpr int kThreads = 16;
   std::atomic<int> ready{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -96,34 +94,45 @@ TEST(RemoteShard, IdlePoolIsBoundedByCap) {
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_LE(shard.idle_connections(), kCap);
+  EXPECT_LE(shard.idle_connections(), RemoteShard::kPoolCap);
   shard.close();
 }
 
 TEST(RemoteShard, LeaseHoldersPastTheCapKeepTheirLeases) {
   // Misses stage for 50 ms, so concurrent acquires of distinct files each
-  // hold their own connection: more lease holders than the pool's cap.
-  // The daemon serves every one of them (workers >= holders).
-  constexpr std::size_t kCap = 2;
-  constexpr int kHolders = 8;
-  DaemonFixture fixture = make_daemon(8, /*time_scale=*/1.0, kHolders);
-  RemoteShard shard(fixture.daemon->port(), kCap);
+  // hold their own connection: more lease holders than the pool's cap,
+  // each keeping its connection open. The daemon serves every one.
+  constexpr int kHolders = 16;
+  static_assert(kHolders > RemoteShard::kPoolCap);
+  DaemonFixture fixture = make_daemon(kHolders, /*time_scale=*/1.0);
+  RemoteShard shard(fixture.daemon->port());
   std::vector<LeaseId> leases(kHolders, 0);
   std::atomic<int> ready{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kHolders);
+  std::vector<std::future<void>> holders;
+  holders.reserve(kHolders);
   for (int t = 0; t < kHolders; ++t) {
-    threads.emplace_back([&shard, &ready, &leases, t] {
-      ready.fetch_add(1);
-      while (ready.load() < kHolders) std::this_thread::yield();
-      const AcquireResult r =
-          shard.acquire(Request({static_cast<FileId>(t)}));
-      if (r.status == AcquireStatus::Ok)
-        leases[static_cast<std::size_t>(t)] = r.lease;
-    });
+    holders.push_back(
+        std::async(std::launch::async, [&shard, &ready, &leases, t] {
+          ready.fetch_add(1);
+          while (ready.load() < kHolders) std::this_thread::yield();
+          const AcquireResult r =
+              shard.acquire(Request({static_cast<FileId>(t)}));
+          if (r.status == AcquireStatus::Ok)
+            leases[static_cast<std::size_t>(t)] = r.lease;
+        }));
   }
-  for (std::thread& t : threads) t.join();
-  ASSERT_GT(fixture.daemon->connections_accepted(), kCap);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (std::future<void>& holder : holders) {
+    if (holder.wait_until(deadline) == std::future_status::ready) continue;
+    // Closing the pool closes the connections held open, so a daemon that
+    // leaves the other holders waiting behind them reaches them after
+    // all, and a failing run ends.
+    shard.close();
+    FAIL() << "the daemon did not serve " << kHolders
+           << " lease holders within 10 s";
+  }
+  ASSERT_GT(fixture.daemon->connections_accepted(), RemoteShard::kPoolCap);
   // Give the daemon time to act on any connection the pool closed.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   EXPECT_EQ(fixture.server->stats().active_leases,
@@ -134,7 +143,7 @@ TEST(RemoteShard, LeaseHoldersPastTheCapKeepTheirLeases) {
   }
   EXPECT_EQ(fixture.daemon->leases_reclaimed(), 0u);
   // Lease-free again, the connections past the cap are gone.
-  EXPECT_LE(shard.idle_connections(), kCap);
+  EXPECT_LE(shard.idle_connections(), RemoteShard::kPoolCap);
   EXPECT_TRUE(fixture.server->audit().empty());
   shard.close();
 }
@@ -172,7 +181,7 @@ TEST(RemoteShard, DaemonRestartedOnTheSamePortReplacesAStaleLeaseRecord) {
   ServiceConfig config;
   config.cache_bytes = 4000;
   fixture.server = std::make_unique<BundleServer>(config, *fixture.mss);
-  fixture.daemon = std::make_unique<BundleDaemon>(*fixture.server, port, 4);
+  fixture.daemon = std::make_unique<BundleDaemon>(*fixture.server, port);
   const AcquireResult fresh = shard.acquire(Request({2}));
   ASSERT_EQ(fresh.status, AcquireStatus::Ok);
   ASSERT_EQ(fresh.lease, stale.lease);

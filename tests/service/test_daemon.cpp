@@ -1,10 +1,11 @@
 // End-to-end daemon tests over real local sockets: the wire protocol
 // round-trips through BundleDaemon/BundleClient over the daemon's Unix
 // socket, the TCP port stays held but unserved, concurrent clients are
-// served correctly, dead connections get their leases reclaimed (and
-// only the leases they still own), malformed frames drop only the
-// offending connection, and running out of descriptors neither spins the
-// acceptor nor stops it for good.
+// served correctly, idle connections do not hold other clients up,
+// dead connections get their leases reclaimed (and only the leases they
+// still own), malformed frames drop only the offending connection,
+// stop() returns while clients keep dialling in, and running out of
+// descriptors neither spins the acceptor nor stops it for good.
 #include "service/daemon.hpp"
 
 #include <arpa/inet.h>
@@ -17,10 +18,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -42,12 +45,12 @@ struct DaemonFixture {
   std::unique_ptr<BundleServer> server;
   std::unique_ptr<BundleDaemon> daemon;
 
-  explicit DaemonFixture(Bytes cache_bytes = 3000, std::size_t workers = 4) {
+  explicit DaemonFixture(Bytes cache_bytes = 3000) {
     ServiceConfig config;
     config.cache_bytes = cache_bytes;
     config.timeout_ms = 20000;
     server = std::make_unique<BundleServer>(config, mss);
-    daemon = std::make_unique<BundleDaemon>(*server, /*port=*/0, workers);
+    daemon = std::make_unique<BundleDaemon>(*server, /*port=*/0);
   }
 };
 
@@ -84,7 +87,7 @@ TEST(BundleDaemon, PortIsHeldAsTheNameButNotServedOverTcp) {
   const std::uint16_t port = fx.daemon->port();
   // No other socket, and so no other daemon, can take the port.
   EXPECT_THROW((void)bind_loopback(port, nullptr), NetError);
-  EXPECT_THROW((void)std::make_unique<BundleDaemon>(*fx.server, port, 1),
+  EXPECT_THROW((void)std::make_unique<BundleDaemon>(*fx.server, port),
                NetError);
   // Nothing listens on it over TCP.
   UniqueFd tcp(::socket(AF_INET, SOCK_STREAM, 0));
@@ -114,7 +117,7 @@ TEST(BundleDaemon, ReconnectReachesADaemonRestartedOnTheSamePort) {
   ServiceConfig config;
   config.cache_bytes = 3000;
   fx.server = std::make_unique<BundleServer>(config, fx.mss);
-  fx.daemon = std::make_unique<BundleDaemon>(*fx.server, port, 2);
+  fx.daemon = std::make_unique<BundleDaemon>(*fx.server, port);
   ASSERT_EQ(fx.daemon->port(), port);
   client.reconnect();
   const AcquireResult r = client.acquire({1});
@@ -168,7 +171,7 @@ TEST(BundleDaemon, InvalidRequestOverTheWire) {
 }
 
 TEST(BundleDaemon, ConcurrentClientsAllSucceed) {
-  DaemonFixture fx(/*cache_bytes=*/2000, /*workers=*/6);
+  DaemonFixture fx(/*cache_bytes=*/2000);
   constexpr int kClients = 6;
   constexpr int kRequests = 50;
   std::vector<std::thread> threads;
@@ -294,6 +297,68 @@ TEST(BundleDaemon, StopWakesBlockedClients) {
   blocked_client.join();
 }
 
+TEST(BundleDaemon, IdleConnectionsDoNotStarveOtherClients) {
+  DaemonFixture fx;
+  // Connections that say nothing, as a router's pooled ones do between
+  // calls.
+  std::vector<UniqueFd> idle;
+  for (int i = 0; i < 16; ++i)
+    idle.push_back(connect_local(fx.daemon->port()));
+  auto served = std::async(std::launch::async, [&fx] {
+    BundleClient client(fx.daemon->port());
+    const AcquireResult r = client.acquire({0});
+    return r.status == AcquireStatus::Ok && client.release(r.lease);
+  });
+  const bool in_time = served.wait_for(std::chrono::seconds(10)) ==
+                       std::future_status::ready;
+  // Closing them lets a daemon that leaves the client waiting behind them
+  // serve it after all, so a failing run ends.
+  idle.clear();
+  EXPECT_TRUE(in_time) << "client starved by 16 idle connections";
+  EXPECT_TRUE(served.get());
+}
+
+TEST(BundleDaemon, StopDuringAConnectStormReturns) {
+  // A connection accepted while stop() runs must be shut down and joined
+  // like the others, not left parked in recv.
+  constexpr int kRounds = 20;
+  constexpr int kDialers = 3;
+  for (int round = 0; round < kRounds; ++round) {
+    DaemonFixture fx;
+    const std::uint16_t port = fx.daemon->port();
+    std::atomic<bool> round_over{false};
+    std::atomic<int> dialled{0};
+    std::vector<std::thread> dialers;
+    for (int d = 0; d < kDialers; ++d) {
+      dialers.emplace_back([port, &round_over, &dialled] {
+        // Holds its latest connections open until the round is over, so
+        // one that stop() misses keeps stop() waiting.
+        std::vector<UniqueFd> held;
+        while (!round_over.load()) {
+          if (held.size() == 16) held.clear();
+          try {
+            held.push_back(connect_local(port));
+          } catch (const NetError&) {
+            break;  // the listener is gone
+          }
+          dialled.fetch_add(1);
+        }
+        while (!round_over.load())
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      });
+    }
+    while (dialled.load() < kDialers) std::this_thread::yield();
+    auto stopped =
+        std::async(std::launch::async, [&fx] { fx.daemon->stop(); });
+    const bool returned = stopped.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+    round_over.store(true);
+    for (std::thread& t : dialers) t.join();
+    stopped.wait();
+    ASSERT_TRUE(returned) << "stop() hung in round " << round;
+  }
+}
+
 /// A daemon whose misses stage for 500 ms: every file sits on the
 /// disk-pool tier (50 ms), scaled by 10.
 struct SlowStageDaemon {
@@ -307,7 +372,7 @@ struct SlowStageDaemon {
     config.cache_bytes = 1000;
     config.time_scale = 10.0;
     server = std::make_unique<BundleServer>(config, mss);
-    daemon = std::make_unique<BundleDaemon>(*server, /*port=*/0, 2);
+    daemon = std::make_unique<BundleDaemon>(*server, /*port=*/0);
   }
 };
 
@@ -375,7 +440,7 @@ int serve_after_descriptor_exhaustion() {
     std::fprintf(stderr, "step %d: %s\n", step, what);
     return step;
   };
-  DaemonFixture fx(/*cache_bytes=*/3000, /*workers=*/3);
+  DaemonFixture fx;
   // Serve a connection first, as a running daemon has. It stays open, so
   // no descriptor frees up behind the test's back. Besides, the
   // undefined-behaviour sanitizer checks a type it has not seen before

@@ -71,7 +71,7 @@ TEST(Hello, StandaloneShardReportsItsId) {
   config.cache_bytes = 1000;
   config.shard_id = 5;
   BundleServer server(config, mss);
-  BundleDaemon daemon(server, 0, 2);
+  BundleDaemon daemon(server, 0);
   BundleClient client(daemon.port());
   const HelloReplyMsg hello = client.hello();
   EXPECT_EQ(hello.role, EndpointRole::Shard);
@@ -89,7 +89,7 @@ TEST(Hello, RouterReportsShardCount) {
   cluster_config.vnodes = 16;
   const cluster::ClusterStack stack =
       cluster::make_local_cluster(cluster_config, config, mss);
-  BundleDaemon daemon(*stack.router, 0, 2);
+  BundleDaemon daemon(*stack.router, 0);
   BundleClient client(daemon.port());
   const HelloReplyMsg hello = client.hello();
   EXPECT_EQ(hello.role, EndpointRole::Router);

@@ -106,7 +106,7 @@ TEST(ServingCommon, ClusterFlagsMapOntoEveryConfigField) {
   add_cluster_options(cli);
   cli.parse({"--shards=7", "--placement=hash", "--spill-threshold=0.75",
              "--vnodes=16", "--replica-sites=2", "--replicate-hot=5",
-             "--remote-pool-cap=3", "--down-threshold=6", "--probe-ms=0"});
+             "--down-threshold=6", "--probe-ms=0"});
   const cluster::ClusterConfig actual = cluster_config_from_cli(cli);
   EXPECT_EQ(actual.shards, 7u);
   EXPECT_EQ(actual.placement, cluster::PlacementMode::HashFile);
@@ -114,7 +114,6 @@ TEST(ServingCommon, ClusterFlagsMapOntoEveryConfigField) {
   EXPECT_EQ(actual.vnodes, 16u);
   EXPECT_EQ(actual.replica_sites, 2u);
   EXPECT_EQ(actual.replicate_hot, 5u);
-  EXPECT_EQ(actual.remote_pool_cap, 3u);
   EXPECT_EQ(actual.down_threshold, 6u);
   EXPECT_EQ(actual.probe_ms, 0u);
   const cluster::ClusterConfig expected;
@@ -160,7 +159,6 @@ CliParser daemon_parser(bool grid) {
   add_scenario_options(cli);
   if (grid) add_cluster_options(cli);
   cli.add_option("port", "listen port", "7401");
-  cli.add_option("workers", "connection handler threads", "8");
   return cli;
 }
 
@@ -177,7 +175,7 @@ TEST(ServingCommon, ShardDaemonArgsForwardEveryServiceField) {
               "--retry-cap-ms=500", "--span-capacity=32",
               "--engine=reference", "--admission-batch=3",
               "--shadow-diff=true", "--shard-id=9", "--scenario=henp",
-              "--wseed=7", "--jobs=11", "--tier-mix=0.2,0.3", "--workers=3",
+              "--wseed=7", "--jobs=11", "--tier-mix=0.2,0.3",
               "--shards=3", "--port=0"});
   const service::ServiceConfig granted = service_config_from_cli(grid);
   {
@@ -198,8 +196,7 @@ TEST(ServingCommon, ShardDaemonArgsForwardEveryServiceField) {
     expected.shard_id = shard;
     FBC_SERVICE_CONFIG_FIELDS(EXPECT_FIELD_EQ)
     EXPECT_TRUE(static_cast<bool>(actual.policy_factory));
-    for (const char* flag :
-         {"scenario", "wseed", "jobs", "tier-mix", "workers"})
+    for (const char* flag : {"scenario", "wseed", "jobs", "tier-mix"})
       EXPECT_EQ(child.get_string(flag), grid.get_string(flag)) << flag;
     EXPECT_EQ(child.get_u64("port"), 0u);
   }

@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
                  "port held on 127.0.0.1, naming socket @fbcd.PORT "
                  "(0 = ephemeral)",
                  "7401");
-  cli.add_option("workers", "connection handler threads", "8");
 
   try {
     cli.parse(argc, argv);
@@ -50,8 +49,7 @@ int main(int argc, char** argv) {
 
     service::BundleServer server(config, mss);
     service::BundleDaemon daemon(
-        server, static_cast<std::uint16_t>(cli.get_u64("port")),
-        cli.get_u64("workers"));
+        server, static_cast<std::uint16_t>(cli.get_u64("port")));
     // Parseable startup line; fbcload's --inline-free remote mode and the
     // CI smoke script scrape the port from it.
     std::cout << "fbcd: listening on 127.0.0.1:" << daemon.port()

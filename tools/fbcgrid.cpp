@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
                  "port held on 127.0.0.1, naming socket @fbcd.PORT "
                  "(0 = ephemeral)",
                  "7402");
-  cli.add_option("workers", "connection handler threads", "8");
   cli.add_flag("spawn-remote",
                "fork one fbcd shard daemon per shard and route to them "
                "over the wire (multi-process deployment)");
@@ -129,8 +128,7 @@ int main(int argc, char** argv) {
       std::vector<std::unique_ptr<cluster::Shard>> shards;
       shards.reserve(ports.size());
       for (const std::uint16_t p : ports)
-        shards.push_back(std::make_unique<cluster::RemoteShard>(
-            p, cluster_config.remote_pool_cap));
+        shards.push_back(std::make_unique<cluster::RemoteShard>(p));
       remote_router = std::make_unique<cluster::ClusterRouter>(
           cluster_config, workload.catalog, service_config.cache_bytes,
           std::move(shards));
@@ -143,8 +141,7 @@ int main(int argc, char** argv) {
     }
 
     service::BundleDaemon daemon(
-        *router, static_cast<std::uint16_t>(cli.get_u64("port")),
-        cli.get_u64("workers"));
+        *router, static_cast<std::uint16_t>(cli.get_u64("port")));
     // Parseable startup line (CI smoke scrapes the port).
     std::cout << "fbcgrid: listening on 127.0.0.1:" << daemon.port()
               << " shards=" << cluster_config.shards

@@ -780,7 +780,7 @@ bool is_builtin_blocking(const std::string& name) {
   static const std::set<std::string> kBlocking = {
       "sleep_for", "sleep_until", "send",        "recv",
       "accept",    "connect",     "poll",        "submit",
-      "try_submit", "parallel_for", "wait",      "wait_for",
+      "parallel_for", "wait", "wait_for",
       "wait_until",
   };
   return kBlocking.count(name) > 0;

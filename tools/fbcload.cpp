@@ -317,7 +317,6 @@ int main(int argc, char** argv) {
   cli.add_option("connections", "concurrent client connections (-c)", "8");
   cli.add_option("requests", "total acquire requests (-n)", "2000");
   cli.add_option("hold-ms", "lease hold time per request", "0");
-  cli.add_option("workers", "daemon handler threads with --inline", "8");
   cli.add_flag("inline", "start fbcd in-process on an ephemeral port");
   cli.add_flag("cluster",
                "with --inline: serve from a sharded ClusterRouter (see "
@@ -352,15 +351,14 @@ int main(int argc, char** argv) {
         cluster_stack = cluster::make_local_cluster(
             cluster_config, config, *cluster_backend.backend);
         daemon = std::make_unique<service::BundleDaemon>(
-            *cluster_stack.router, /*port=*/0, cli.get_u64("workers"));
+            *cluster_stack.router, /*port=*/0);
       } else {
         mss = std::make_unique<MassStorageSystem>(default_tiers(),
                                                   workload.catalog);
         place_tier_mix(*mss, cli.get_string("tier-mix"),
                        cli.get_u64("wseed"));
         server = std::make_unique<service::BundleServer>(config, *mss);
-        daemon = std::make_unique<service::BundleDaemon>(
-            *server, /*port=*/0, cli.get_u64("workers"));
+        daemon = std::make_unique<service::BundleDaemon>(*server, /*port=*/0);
       }
       port = daemon->port();
     }

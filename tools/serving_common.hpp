@@ -135,7 +135,7 @@ inline std::vector<std::string> shard_daemon_args(const CliParser& cli,
                                                   std::uint32_t shard_id) {
   std::vector<std::string> args = {"--port=0",
                                    "--shard-id=" + std::to_string(shard_id)};
-  for (const char* flag : {"workers", "scenario", "wseed", "jobs", "tier-mix",
+  for (const char* flag : {"scenario", "wseed", "jobs", "tier-mix",
                            FBC_SERVICE_CONFIG_FIELDS(FBC_FIELD_FLAG)}) {
     const std::string name = flag;
     if (name != "shard-id" && cli.was_set(name))
