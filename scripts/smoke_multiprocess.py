@@ -200,6 +200,9 @@ def main():
         sys.stdout.write(out)
         if grid.returncode != 0:
             fail(f"fbcgrid exited {grid.returncode}")
+        died = f"fbcgrid: shard {victim_shard} (pid {victim_pid}) died"
+        if died not in out:
+            fail(f"fbcgrid never reported \"{died}\"")
         m = re.search(r"fbcgrid: served (\d+) shard requests "
                       r"\((\d+) single-shard, (\d+) scattered", out)
         if m is None:

@@ -10,27 +10,9 @@ namespace fbc::cluster {
 service::ServiceStats merge_stats(
     std::span<const service::ServiceStats> shards) {
   service::ServiceStats out;
-  for (const service::ServiceStats& s : shards) {
-    out.requests += s.requests;
-    out.request_hits += s.request_hits;
-    out.rejected_full += s.rejected_full;
-    out.timed_out += s.timed_out;
-    out.unserviceable += s.unserviceable;
-    out.invalid += s.invalid;
-    out.transfer_retries += s.transfer_retries;
-    out.transfer_failures += s.transfer_failures;
-    out.leases_granted += s.leases_granted;
-    out.leases_released += s.leases_released;
-    out.active_leases += s.active_leases;
-    out.queue_depth += s.queue_depth;
-    out.evictions += s.evictions;
-    out.bytes_requested += s.bytes_requested;
-    out.bytes_missed += s.bytes_missed;
-    out.bytes_evicted += s.bytes_evicted;
-    out.used_bytes += s.used_bytes;
-    out.capacity_bytes += s.capacity_bytes;
-    out.resident_files += s.resident_files;
-  }
+  for (const service::ServiceStats& s : shards)
+    for (const service::StatField& field : service::kServiceStatsFields)
+      out.*field.member += s.*field.member;
   return out;
 }
 

@@ -36,109 +36,125 @@ PolicyPtr make_optfb(const PolicyContext& context, const std::string& name,
                                                config);
 }
 
+/// A policy whose constructor takes the fixed arguments `args` only.
+template <class Policy, auto... args>
+PolicyPtr make_plain(const PolicyContext&, const std::string&) {
+  return std::make_unique<Policy>(args...);
+}
+
+PolicyPtr make_adaptive(const PolicyContext& context,
+                        const std::string& name) {
+  const FileCatalog& catalog = require_catalog(context, name);
+  std::vector<AdaptiveContender> contenders;
+  for (const char* contender : {"optfb", "landlord", "gdsf"}) {
+    contenders.push_back(AdaptiveContender{contender,
+                                           make_policy(contender, context),
+                                           make_policy(contender, context)});
+  }
+  AdaptiveConfig config;
+  config.seed = context.seed;
+  config.sample_period = context.duel_sample_period;
+  config.phase_jobs = context.duel_phase_jobs;
+  // The training signal: a BundleOPTgen oracle fed the same sampled
+  // subsequence the shadow caches replay, created lazily once the real
+  // cache capacity is known.
+  AdaptivePolicy::OracleFactory oracle = [&catalog](Bytes capacity) {
+    auto gen = std::make_shared<BundleOPTgen>(
+        catalog, OptgenConfig{capacity, /*window_quanta=*/4096});
+    return [gen](const Request& request) {
+      return gen->observe(request).opt_hit;
+    };
+  };
+  return std::make_unique<AdaptivePolicy>(catalog, config,
+                                          std::move(contenders),
+                                          std::move(oracle));
+}
+
+using Factory = PolicyPtr (*)(const PolicyContext&, const std::string&);
+
+/// Every registered policy, in display order.
+constexpr struct {
+  const char* name;
+  Factory make;
+} kPolicies[] = {
+    {"optfb",
+     [](const PolicyContext& c, const std::string& n) {
+       return make_optfb(c, n, {});
+     }},
+    {"optfb-basic",
+     [](const PolicyContext& c, const std::string& n) {
+       return make_optfb(c, n, {.variant = SelectVariant::Basic});
+     }},
+    {"optfb-seeded1",
+     [](const PolicyContext& c, const std::string& n) {
+       return make_optfb(c, n, {.variant = SelectVariant::Seeded1});
+     }},
+    {"optfb-seeded2",
+     [](const PolicyContext& c, const std::string& n) {
+       return make_optfb(c, n, {.variant = SelectVariant::Seeded2});
+     }},
+    {"optfb-full",
+     [](const PolicyContext& c, const std::string& n) {
+       return make_optfb(c, n,
+                         {.history = {.mode = HistoryMode::Full},
+                          .prefetch_selected = true});
+     }},
+    {"optfb-window",
+     [](const PolicyContext& c, const std::string& n) {
+       return make_optfb(c, n,
+                         {.history = {.mode = HistoryMode::Window,
+                                      .window_jobs = c.history_window_jobs},
+                          .prefetch_selected = true});
+     }},
+    {"optfb-bytes",
+     [](const PolicyContext& c, const std::string& n) {
+       return make_optfb(c, n, {.value_model = ValueModel::BytesWeighted});
+     }},
+    {"landlord",
+     make_plain<LandlordPolicy, LandlordPolicy::CreditModel::Uniform>},
+    {"landlord-size",
+     make_plain<LandlordPolicy,
+                LandlordPolicy::CreditModel::ProportionalToSize>},
+    {"dist-online",
+     [](const PolicyContext& c, const std::string& n) -> PolicyPtr {
+       return std::make_unique<DistOnlinePolicy>(require_catalog(c, n));
+     }},
+    {"lru", make_plain<LruPolicy>},
+    {"lru-2", make_plain<LruKPolicy, std::size_t{2}>},
+    {"lru-3", make_plain<LruKPolicy, std::size_t{3}>},
+    {"lfu", make_plain<LfuPolicy>},
+    {"fifo", make_plain<FifoPolicy>},
+    {"gds-unit", make_plain<GdsPolicy, GdsCost::Unit>},
+    {"gds-size", make_plain<GdsPolicy, GdsCost::Size>},
+    {"gds-fetch", make_plain<GdsPolicy, GdsCost::FetchTime>},
+    {"gdsf", make_plain<GdsfPolicy, true>},
+    {"gdsf-unit", make_plain<GdsfPolicy, false>},
+    {"random",
+     [](const PolicyContext& c, const std::string&) -> PolicyPtr {
+       return std::make_unique<RandomPolicy>(c.seed);
+     }},
+    {"lookahead",
+     [](const PolicyContext& c, const std::string&) -> PolicyPtr {
+       if (c.jobs.empty())
+         throw std::invalid_argument(
+             "make_policy(lookahead): context.jobs is required");
+       return std::make_unique<LookaheadPolicy>(c.jobs);
+     }},
+    {"adaptive", make_adaptive},
+};
+
 }  // namespace
 
 PolicyPtr make_policy(const std::string& name, const PolicyContext& context) {
-  if (name == "optfb") {
-    return make_optfb(context, name, {});
-  }
-  if (name == "optfb-basic") {
-    OptFileBundleConfig config;
-    config.variant = SelectVariant::Basic;
-    return make_optfb(context, name, config);
-  }
-  if (name == "optfb-seeded1") {
-    OptFileBundleConfig config;
-    config.variant = SelectVariant::Seeded1;
-    return make_optfb(context, name, config);
-  }
-  if (name == "optfb-seeded2") {
-    OptFileBundleConfig config;
-    config.variant = SelectVariant::Seeded2;
-    return make_optfb(context, name, config);
-  }
-  if (name == "optfb-full") {
-    OptFileBundleConfig config;
-    config.history.mode = HistoryMode::Full;
-    config.prefetch_selected = true;
-    return make_optfb(context, name, config);
-  }
-  if (name == "optfb-window") {
-    OptFileBundleConfig config;
-    config.history.mode = HistoryMode::Window;
-    config.history.window_jobs = context.history_window_jobs;
-    config.prefetch_selected = true;
-    return make_optfb(context, name, config);
-  }
-  if (name == "optfb-bytes") {
-    OptFileBundleConfig config;
-    config.value_model = ValueModel::BytesWeighted;
-    return make_optfb(context, name, config);
-  }
-  if (name == "landlord") {
-    return std::make_unique<LandlordPolicy>(LandlordPolicy::CreditModel::Uniform);
-  }
-  if (name == "landlord-size") {
-    return std::make_unique<LandlordPolicy>(
-        LandlordPolicy::CreditModel::ProportionalToSize);
-  }
-  if (name == "dist-online") {
-    return std::make_unique<DistOnlinePolicy>(require_catalog(context, name));
-  }
-  if (name == "lru") return std::make_unique<LruPolicy>();
-  if (name == "lru-2") return std::make_unique<LruKPolicy>(2);
-  if (name == "lru-3") return std::make_unique<LruKPolicy>(3);
-  if (name == "lfu") return std::make_unique<LfuPolicy>();
-  if (name == "fifo") return std::make_unique<FifoPolicy>();
-  if (name == "gdsf") return std::make_unique<GdsfPolicy>(true);
-  if (name == "gdsf-unit") return std::make_unique<GdsfPolicy>(false);
-  if (name == "gds-unit") return std::make_unique<GdsPolicy>(GdsCost::Unit);
-  if (name == "gds-size") return std::make_unique<GdsPolicy>(GdsCost::Size);
-  if (name == "gds-fetch")
-    return std::make_unique<GdsPolicy>(GdsCost::FetchTime);
-  if (name == "random") return std::make_unique<RandomPolicy>(context.seed);
-  if (name == "adaptive") {
-    const FileCatalog& catalog = require_catalog(context, name);
-    std::vector<AdaptiveContender> contenders;
-    for (const char* contender : {"optfb", "landlord", "gdsf"}) {
-      contenders.push_back(AdaptiveContender{
-          contender, make_policy(contender, context),
-          make_policy(contender, context)});
-    }
-    AdaptiveConfig config;
-    config.seed = context.seed;
-    config.sample_period = context.duel_sample_period;
-    config.phase_jobs = context.duel_phase_jobs;
-    // The training signal: a BundleOPTgen oracle fed the same sampled
-    // subsequence the shadow caches replay, created lazily once the real
-    // cache capacity is known.
-    AdaptivePolicy::OracleFactory oracle = [&catalog](Bytes capacity) {
-      auto gen = std::make_shared<BundleOPTgen>(
-          catalog, OptgenConfig{capacity, /*window_quanta=*/4096});
-      return [gen](const Request& request) {
-        return gen->observe(request).opt_hit;
-      };
-    };
-    return std::make_unique<AdaptivePolicy>(catalog, config,
-                                            std::move(contenders),
-                                            std::move(oracle));
-  }
-  if (name == "lookahead") {
-    if (context.jobs.empty())
-      throw std::invalid_argument(
-          "make_policy(lookahead): context.jobs is required");
-    return std::make_unique<LookaheadPolicy>(context.jobs);
-  }
+  for (const auto& policy : kPolicies)
+    if (name == policy.name) return policy.make(context, name);
   throw std::invalid_argument("make_policy: unknown policy '" + name + "'");
 }
 
 std::vector<std::string> policy_names() {
-  return {"optfb",        "optfb-basic",  "optfb-seeded1", "optfb-seeded2",
-          "optfb-full",   "optfb-window", "optfb-bytes",   "landlord",
-          "landlord-size", "dist-online", "lru",           "lru-2",
-          "lru-3",        "lfu",          "fifo",          "gds-unit",
-          "gds-size",     "gds-fetch",    "gdsf",          "gdsf-unit",
-          "random",       "lookahead",    "adaptive"};
+  std::vector<std::string> names;
+  for (const auto& policy : kPolicies) names.emplace_back(policy.name);
+  return names;
 }
 
 }  // namespace fbc

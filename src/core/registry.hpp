@@ -36,8 +36,33 @@
 #include "cache/catalog.hpp"
 #include "cache/policy.hpp"
 #include "core/opt_file_bundle.hpp"
+#include "util/config_fields.hpp"
 
 namespace fbc {
+
+/// The tunable fields of PolicyContext, one row each (see
+/// util/config_fields.hpp); fbcsim expands the same list into its flags.
+// clang-format off
+#define FBC_POLICY_CONTEXT_FIELDS(X)                                          \
+  /* Queue-scheduling aging factor for optfb* policies (0 = pure value        \
+     order; see OptFileBundleConfig::aging_factor). */                        \
+  X(double, aging_factor, 0.0, "aging",                                       \
+    "queue aging factor for optfb* policies")                                 \
+  X(std::size_t, history_max_entries, 0, "history-cap",                       \
+    "bounded-memory history entries for optfb* (0 = unbounded)")              \
+  X(std::uint64_t, history_window_jobs, 1000, "window",                       \
+    "sliding-window length in jobs for optfb-window")                         \
+  /* Reference until the incremental engine has soaked; see                  \
+     core/incremental_select.hpp. */                                          \
+  X(SelectEngine, select_engine, SelectEngine::Reference, "engine",           \
+    "selection engine for optfb* policies: "                                  \
+    "reference|incremental (identical results; incremental "                  \
+    "rescores only dirty history entries per miss)")                          \
+  X(std::size_t, duel_sample_period, 8, "duel-sample",                        \
+    "adaptive: one request in N joins the set-dueling sample")                \
+  X(std::size_t, duel_phase_jobs, 64, "duel-phase",                           \
+    "adaptive: leader re-election interval, in arrivals")
+// clang-format on
 
 /// Everything a policy constructor might need.
 struct PolicyContext {
@@ -47,21 +72,7 @@ struct PolicyContext {
   std::uint64_t seed = 0x5eedULL;
   /// Future job stream; required for lookahead.
   std::span<const Request> jobs = {};
-  /// Window length for optfb-window.
-  std::uint64_t history_window_jobs = 1000;
-  /// Queue-scheduling aging factor for optfb* policies (0 = pure value
-  /// order; see OptFileBundleConfig::aging_factor).
-  double aging_factor = 0.0;
-  /// Bounded-memory history cap for optfb* policies (0 = unbounded).
-  std::size_t history_max_entries = 0;
-  /// Selection engine for optfb* policies (Reference until the
-  /// incremental engine has soaked; see core/incremental_select.hpp).
-  SelectEngine select_engine = SelectEngine::Reference;
-  /// adaptive: one request in `duel_sample_period` joins the set-dueling
-  /// sample replayed through the shadow caches and the OPT oracle.
-  std::size_t duel_sample_period = 8;
-  /// adaptive: leader re-election interval, in arrivals.
-  std::size_t duel_phase_jobs = 64;
+  FBC_POLICY_CONTEXT_FIELDS(FBC_CONFIG_MEMBER)
 };
 
 /// Creates the policy registered under `name`.

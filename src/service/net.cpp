@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -106,25 +107,7 @@ bool write_full(int fd, const std::uint8_t* data, std::size_t len) {
   return true;
 }
 
-bool read_full(int fd, std::uint8_t* data, std::size_t len) {
-  std::size_t got = 0;
-  while (got < len) {
-    const ssize_t n = ::recv(fd, data + got, len - got, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == ECONNRESET) return false;
-      throw_errno("recv");
-    }
-    if (n == 0) {
-      if (got == 0) return false;  // clean EOF at a boundary
-      throw NetError("connection closed mid-frame");
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-FrameReader::Fill FrameReader::fill(int fd, bool block) {
+bool FrameReader::fill(int fd) {
   // Compact once the consumed prefix dominates, so the valid bytes do not
   // creep rightward forever on a long-lived connection.
   if (pos_ > 0 && pos_ >= end_ / 2) {
@@ -138,17 +121,24 @@ FrameReader::Fill FrameReader::fill(int fd, bool block) {
   constexpr std::size_t kChunk = 16 * 1024;
   if (buf_.size() - end_ < kChunk) buf_.resize(end_ + kChunk);
   for (;;) {
+    // A thread asleep in recv() on a Unix stream socket is woken each time
+    // the peer drains data this socket sent, finds nothing to read and
+    // sleeps again. poll(POLLIN) waits for data (or EOF) only.
     const ssize_t n = ::recv(fd, buf_.data() + end_, buf_.size() - end_,
-                             block ? 0 : MSG_DONTWAIT);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (!block && (errno == EAGAIN || errno == EWOULDBLOCK))
-        return Fill::Empty;
-      if (errno == ECONNRESET) return Fill::Eof;
-      throw_errno("recv");
+                             MSG_DONTWAIT);
+    if (n >= 0) {
+      end_ += static_cast<std::size_t>(n);
+      return n > 0;
     }
-    end_ += static_cast<std::size_t>(n);
-    return n == 0 ? Fill::Eof : Fill::Data;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      pollfd readable{fd, POLLIN, 0};
+      while (::poll(&readable, 1, -1) < 0)
+        if (errno != EINTR) throw_errno("poll");
+      continue;
+    }
+    if (errno == ECONNRESET) return false;
+    throw_errno("recv");
   }
 }
 
@@ -168,15 +158,9 @@ std::optional<Message> FrameReader::take() {
 std::optional<Message> FrameReader::next(int fd) {
   for (;;) {
     if (std::optional<Message> message = take()) return message;
-    switch (fill(fd, /*block=*/true)) {
-      case Fill::Data:
-        break;
-      case Fill::Eof:
-        if (have() == 0) return std::nullopt;
-        throw NetError("connection closed mid-frame");
-      case Fill::Empty:
-        break;  // unreachable: blocking fill never reports Empty
-    }
+    if (fill(fd)) continue;
+    if (have() == 0) return std::nullopt;
+    throw NetError("connection closed mid-frame");
   }
 }
 
@@ -185,26 +169,6 @@ bool FrameReader::buffered_next(Message* out) {
   if (!message.has_value()) return false;
   *out = std::move(*message);
   return true;
-}
-
-TryRecv FrameReader::try_next(int fd, Message* out) {
-  for (;;) {
-    if (std::optional<Message> message = take()) {
-      *out = std::move(*message);
-      return TryRecv::Got;
-    }
-    // A partial frame in the buffer means the peer committed to it;
-    // finish it with a blocking read. Only a clean boundary probes.
-    switch (fill(fd, /*block=*/have() > 0)) {
-      case Fill::Data:
-        break;
-      case Fill::Empty:
-        return TryRecv::Empty;
-      case Fill::Eof:
-        if (have() == 0) return TryRecv::Eof;
-        throw NetError("connection closed mid-frame");
-    }
-  }
 }
 
 bool send_message(int fd, const Message& message) {

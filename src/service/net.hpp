@@ -1,5 +1,5 @@
 // Minimal POSIX socket plumbing for the serving subsystem: an owning fd
-// wrapper, full-buffer read/write loops that survive EINTR and short
+// wrapper, a full-buffer write loop that survives EINTR and short
 // transfers, and frame-level send/receive built on the wire protocol.
 //
 // Only a local transport is supported deliberately -- fbcd is a
@@ -85,17 +85,6 @@ class NetError : public std::runtime_error {
 [[nodiscard]] bool write_full(int fd, const std::uint8_t* data,
                               std::size_t len);
 
-/// Reads exactly `len` bytes. Returns false on clean EOF before the first
-/// byte; throws NetError on mid-buffer EOF or hard errors.
-[[nodiscard]] bool read_full(int fd, std::uint8_t* data, std::size_t len);
-
-/// Outcome of a non-blocking frame read attempt.
-enum class TryRecv {
-  Empty,  ///< no bytes waiting (EAGAIN before the first frame byte)
-  Eof,    ///< peer closed cleanly at a frame boundary
-  Got,    ///< one complete message decoded into *out
-};
-
 /// Buffered frame reader. Each recv pulls everything the kernel has, so a
 /// burst of back-to-back frames from a batching peer costs one syscall
 /// instead of two reads (header + payload) per frame. One reader per
@@ -107,13 +96,6 @@ class FrameReader {
   /// transport error or EOF mid-frame.
   [[nodiscard]] std::optional<Message> next(int fd);
 
-  /// Non-blocking drain: decodes a buffered frame without touching the
-  /// socket when one is complete, otherwise probes with MSG_DONTWAIT.
-  /// Returns Empty when no frame has started arriving. Once a frame's
-  /// first bytes are in hand the remainder is completed with blocking
-  /// reads (the sender writes whole frames, so it is committed).
-  [[nodiscard]] TryRecv try_next(int fd, Message* out);
-
   /// Syscall-free drain: decodes the next frame only if it is already
   /// complete in the buffer. Under the one-outstanding-burst connection
   /// discipline this catches every frame of a burst that the last recv
@@ -121,10 +103,9 @@ class FrameReader {
   [[nodiscard]] bool buffered_next(Message* out);
 
  private:
-  enum class Fill { Data, Empty, Eof };
-
-  /// One recv into the free tail of the buffer; Empty only when !block.
-  Fill fill(int fd, bool block);
+  /// Waits until the socket is readable, then receives what it holds
+  /// into the free tail of the buffer; false on EOF or a reset.
+  bool fill(int fd);
   /// Decodes one message if the buffer holds a complete frame.
   [[nodiscard]] std::optional<Message> take();
   [[nodiscard]] std::size_t have() const noexcept { return end_ - pos_; }

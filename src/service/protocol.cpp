@@ -68,48 +68,14 @@ class Reader {
 };
 
 void encode_stats(std::vector<std::uint8_t>* out, const ServiceStats& s) {
-  put_u64(out, s.requests);
-  put_u64(out, s.request_hits);
-  put_u64(out, s.rejected_full);
-  put_u64(out, s.timed_out);
-  put_u64(out, s.unserviceable);
-  put_u64(out, s.invalid);
-  put_u64(out, s.transfer_retries);
-  put_u64(out, s.transfer_failures);
-  put_u64(out, s.leases_granted);
-  put_u64(out, s.leases_released);
-  put_u64(out, s.active_leases);
-  put_u64(out, s.queue_depth);
-  put_u64(out, s.evictions);
-  put_u64(out, s.bytes_requested);
-  put_u64(out, s.bytes_missed);
-  put_u64(out, s.bytes_evicted);
-  put_u64(out, s.used_bytes);
-  put_u64(out, s.capacity_bytes);
-  put_u64(out, s.resident_files);
+  for (const StatField& field : kServiceStatsFields)
+    put_u64(out, s.*field.member);
 }
 
 ServiceStats decode_stats(Reader* in) {
   ServiceStats s;
-  s.requests = in->u64();
-  s.request_hits = in->u64();
-  s.rejected_full = in->u64();
-  s.timed_out = in->u64();
-  s.unserviceable = in->u64();
-  s.invalid = in->u64();
-  s.transfer_retries = in->u64();
-  s.transfer_failures = in->u64();
-  s.leases_granted = in->u64();
-  s.leases_released = in->u64();
-  s.active_leases = in->u64();
-  s.queue_depth = in->u64();
-  s.evictions = in->u64();
-  s.bytes_requested = in->u64();
-  s.bytes_missed = in->u64();
-  s.bytes_evicted = in->u64();
-  s.used_bytes = in->u64();
-  s.capacity_bytes = in->u64();
-  s.resident_files = in->u64();
+  for (const StatField& field : kServiceStatsFields)
+    s.*field.member = in->u64();
   return s;
 }
 
@@ -244,7 +210,6 @@ void decode_bundle(Reader* in, std::uint64_t* cookie,
 }
 
 void encode_payload(const Message& message, std::vector<std::uint8_t>* out) {
-  // Payload encoder switch: must cover every MsgType (fbclint L003).
   switch (message_type(message)) {
     case MsgType::AcquireRequest: {
       const auto& m = std::get<AcquireRequestMsg>(message);
@@ -303,7 +268,6 @@ void encode_payload(const Message& message, std::vector<std::uint8_t>* out) {
 }  // namespace
 
 const char* to_string(MsgType type) noexcept {
-  // Name switch: must cover every MsgType (fbclint L003).
   switch (type) {
     case MsgType::AcquireRequest: return "AcquireRequest";
     case MsgType::AcquireReply: return "AcquireReply";
@@ -372,7 +336,6 @@ FrameHeader decode_header(std::span<const std::uint8_t> bytes) {
 
 Message decode_payload(MsgType type, std::span<const std::uint8_t> payload) {
   Reader in(payload);
-  // Payload decoder switch: must cover every MsgType (fbclint L003).
   switch (type) {
     case MsgType::AcquireRequest: {
       AcquireRequestMsg m;

@@ -18,7 +18,9 @@
 // closes the connection.
 //
 // Every MsgType enumerator must be handled by the encoder and decoder
-// switches in protocol.cpp; fbclint's L003 rule checks that completeness.
+// switches in protocol.cpp; that translation unit builds with
+// -Werror=switch and -Werror=switch-enum, so a missing case fails the
+// build even beside a default label.
 #pragma once
 
 #include <cstdint>
@@ -74,30 +76,58 @@ enum class AcquireStatus : std::uint8_t {
 [[nodiscard]] const char* to_string(MsgType type) noexcept;
 [[nodiscard]] const char* to_string(AcquireStatus status) noexcept;
 
-/// Server counters reported by a stats snapshot. Field order is the wire
-/// order; every field is encoded as a u64.
+/// The ServiceStats counters, one row each: X(kind, member). Row order
+/// is the wire order, and every field is a u64 on the wire. `kind` says
+/// whether the value counts events (Count) or bytes (Bytes); fbcctl
+/// prints the latter with a unit.
+// clang-format off
+#define FBC_SERVICE_STATS_FIELDS(X)                                           \
+  X(Count, requests)          /* acquire calls accepted for service */        \
+  X(Count, request_hits)      /* whole bundle already resident */             \
+  X(Count, rejected_full)     /* backpressure rejections */                   \
+  X(Count, timed_out)         /* queue-wait timeouts */                       \
+  X(Count, unserviceable)     /* bundle bigger than the cache */              \
+  X(Count, invalid)           /* malformed acquire requests */                \
+  X(Count, transfer_retries)  /* MSS transfer attempts retried */             \
+  X(Count, transfer_failures) /* acquires failed after retries */             \
+  X(Count, leases_granted)                                                    \
+  X(Count, leases_released)                                                   \
+  X(Count, active_leases)                                                     \
+  X(Count, queue_depth)       /* waiters queued at snapshot time */           \
+  X(Count, evictions)                                                         \
+  X(Bytes, bytes_requested)                                                   \
+  X(Bytes, bytes_missed)      /* demand bytes staged from the MSS */          \
+  X(Bytes, bytes_evicted)                                                     \
+  X(Bytes, used_bytes)                                                        \
+  X(Bytes, capacity_bytes)                                                    \
+  X(Count, resident_files)
+// clang-format on
+
+/// Server counters reported by a stats snapshot.
 struct ServiceStats {
-  std::uint64_t requests = 0;        ///< acquire calls accepted for service
-  std::uint64_t request_hits = 0;    ///< whole bundle already resident
-  std::uint64_t rejected_full = 0;   ///< backpressure rejections
-  std::uint64_t timed_out = 0;       ///< queue-wait timeouts
-  std::uint64_t unserviceable = 0;   ///< bundle bigger than the cache
-  std::uint64_t invalid = 0;         ///< malformed acquire requests
-  std::uint64_t transfer_retries = 0;   ///< MSS transfer attempts retried
-  std::uint64_t transfer_failures = 0;  ///< acquires failed after retries
-  std::uint64_t leases_granted = 0;
-  std::uint64_t leases_released = 0;
-  std::uint64_t active_leases = 0;
-  std::uint64_t queue_depth = 0;     ///< waiters queued at snapshot time
-  std::uint64_t evictions = 0;
-  std::uint64_t bytes_requested = 0;
-  std::uint64_t bytes_missed = 0;    ///< demand bytes staged from the MSS
-  std::uint64_t bytes_evicted = 0;
-  std::uint64_t used_bytes = 0;
-  std::uint64_t capacity_bytes = 0;
-  std::uint64_t resident_files = 0;
+#define FBC_STATS_MEMBER(kind, member) std::uint64_t member = 0;
+  FBC_SERVICE_STATS_FIELDS(FBC_STATS_MEMBER)
+#undef FBC_STATS_MEMBER
 
   bool operator==(const ServiceStats&) const = default;
+};
+
+/// How a ServiceStats field is shown.
+enum class StatKind { Count, Bytes };
+
+/// One ServiceStats field: its name, kind and member.
+struct StatField {
+  const char* name;
+  StatKind kind;
+  std::uint64_t ServiceStats::*member;
+};
+
+/// Every ServiceStats field, in wire order.
+inline constexpr StatField kServiceStatsFields[] = {
+#define FBC_STATS_FIELD(kind, member) \
+  {#member, StatKind::kind, &ServiceStats::member},
+    FBC_SERVICE_STATS_FIELDS(FBC_STATS_FIELD)
+#undef FBC_STATS_FIELD
 };
 
 /// One exported histogram, keyed by a stable metric name

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <map>
 #include <stdexcept>
@@ -482,21 +483,25 @@ std::vector<FileId> BundleServer::resident_files() const {
   return files;
 }
 
+// The decoder rejects a MetricsReply whose histogram names are not
+// strictly increasing, so the rows must stay sorted.
+#define FBC_HISTOGRAM_NAME(member, name) std::string_view(name),
+constexpr std::string_view kHistogramNames[] = {
+    FBC_SERVER_HISTOGRAMS(FBC_HISTOGRAM_NAME)};
+#undef FBC_HISTOGRAM_NAME
+static_assert(std::ranges::adjacent_find(kHistogramNames,
+                                         std::greater_equal{}) ==
+              std::end(kHistogramNames));
+
 MetricsSnapshot BundleServer::metrics() const {
   MetricsSnapshot m;
   m.stats = stats();
   std::lock_guard<OrderedMutex> obs_lock(obs_mu_);
   m.counters = counters_.snapshot();
-  // Names must stay lexicographically sorted: the wire encoder enforces
-  // strictly increasing histogram names (canonical frame form).
-  m.histograms.push_back({"acquire.coalesce_us", coalesce_us_});
-  m.histograms.push_back({"acquire.fetch_us", fetch_us_});
-  m.histograms.push_back({"acquire.queue_depth", queue_depth_});
-  m.histograms.push_back({"acquire.queue_us", queue_us_});
-  m.histograms.push_back({"acquire.reserve_us", reserve_us_});
-  m.histograms.push_back({"acquire.total_us", total_us_});
-  m.histograms.push_back({"admit.batch_size", batch_size_});
-  m.histograms.push_back({"lease.hold_us", hold_us_});
+#define FBC_EXPORT_HISTOGRAM(member, name) \
+  m.histograms.push_back({name, member});
+  FBC_SERVER_HISTOGRAMS(FBC_EXPORT_HISTOGRAM)
+#undef FBC_EXPORT_HISTOGRAM
   return m;
 }
 

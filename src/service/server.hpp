@@ -159,6 +159,23 @@ enum class AdmitOrder {
     "this server's position in its cluster")
 // clang-format on
 
+/// BundleServer's histograms, one row each: X(member, "metric name").
+/// The rows are sorted by name, the order metrics() exports them in.
+// clang-format off
+#define FBC_SERVER_HISTOGRAMS(X)                                              \
+  /* Blocked on an overlapping transfer. */                                   \
+  X(coalesce_us_, "acquire.coalesce_us")                                      \
+  X(fetch_us_, "acquire.fetch_us")        /* reserve -> bundle resident */    \
+  X(queue_depth_, "acquire.queue_depth")  /* waiters ahead at enqueue */      \
+  X(queue_us_, "acquire.queue_us")        /* enqueue -> admission */          \
+  /* Admission -> space reserved and leased. */                               \
+  X(reserve_us_, "acquire.reserve_us")                                        \
+  X(total_us_, "acquire.total_us")        /* enqueue -> grant */              \
+  /* Admissions per non-empty drain pass. */                                  \
+  X(batch_size_, "admit.batch_size")                                          \
+  X(hold_us_, "lease.hold_us")            /* grant -> release */
+// clang-format on
+
 /// Configuration of the serving layer.
 struct ServiceConfig {
   FBC_SERVICE_CONFIG_FIELDS(FBC_CONFIG_MEMBER)
@@ -384,16 +401,13 @@ class BundleServer : public ServingEndpoint {
   // fbc:guards(total_us_, hold_us_, queue_depth_, batch_size_)
   // fbc:guards(acquire_ok_slot_, release_ok_slot_, release_unknown_slot_)
   // fbc:guards(transfers_slot_, coalesced_slot_)
+  // A method that expands the histogram rows touches every histogram:
+  // fbc:guards(FBC_SERVER_HISTOGRAMS)
   mutable OrderedMutex obs_mu_{40, "BundleServer::obs_mu_"};
   obs::CounterRegistry counters_;  ///< acquire.* / release.* outcomes
-  obs::Histogram queue_us_;        ///< enqueue -> admission decision
-  obs::Histogram reserve_us_;      ///< admission -> space reserved + leased
-  obs::Histogram fetch_us_;        ///< reserve -> bundle resident
-  obs::Histogram coalesce_us_;     ///< blocked on an overlapping transfer
-  obs::Histogram total_us_;        ///< enqueue -> grant
-  obs::Histogram hold_us_;         ///< grant -> release
-  obs::Histogram queue_depth_;     ///< waiters ahead at enqueue
-  obs::Histogram batch_size_;      ///< admissions per non-empty drain pass
+#define FBC_HISTOGRAM_MEMBER(member, name) obs::Histogram member;
+  FBC_SERVER_HISTOGRAMS(FBC_HISTOGRAM_MEMBER)
+#undef FBC_HISTOGRAM_MEMBER
   obs::SpanRecorder spans_;        ///< bounded ring (config.span_capacity)
   /// Pre-resolved cells for the per-grant counters (CounterRegistry::slot
   /// pointers into counters_; map nodes are stable). Bumped under obs_mu_

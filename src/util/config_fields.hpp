@@ -3,10 +3,12 @@
 // A config struct declares each command-line field once, as one row
 // X(kind, member, initial, "flag", "help") of an X-macro list next to the
 // struct (FBC_SERVICE_CONFIG_FIELDS in service/server.hpp,
-// FBC_CLUSTER_CONFIG_FIELDS in cluster/config.hpp). The struct expands its
+// FBC_CLUSTER_CONFIG_FIELDS in cluster/config.hpp,
+// FBC_POLICY_CONTEXT_FIELDS in core/registry.hpp). The struct expands its
 // list through FBC_CONFIG_MEMBER, so a field cannot exist without its row;
-// tools/serving_common.hpp expands the same list into flag registration,
-// parsing and fbcgrid's forwarding to its fbcd children.
+// tools/config_cli.hpp expands the same list into flag registration and
+// parsing, and tools/serving_common.hpp into fbcgrid's forwarding to its
+// fbcd children.
 //
 // `kind` is the member's type, except ByteSize: a Bytes member whose flag
 // takes a unit suffix ("512MiB"), which a plain count must not accept. A

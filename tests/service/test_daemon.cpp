@@ -254,8 +254,8 @@ TEST(BundleDaemon, MalformedFrameDropsOnlyThatConnection) {
     const std::uint8_t bogus[kFrameHeaderBytes] = {0, 0, 0, 0, 42};
     ASSERT_TRUE(write_full(raw.get(), bogus, sizeof bogus));
     // The daemon closes the connection: next read sees EOF.
-    std::uint8_t byte = 0;
-    EXPECT_FALSE(read_full(raw.get(), &byte, 1));
+    FrameReader reader;
+    EXPECT_FALSE(reader.next(raw.get()).has_value());
   }
   // A well-behaved client is unaffected.
   BundleClient client(fx.daemon->port());
@@ -268,8 +268,8 @@ TEST(BundleDaemon, ReplyTypeFromClientIsRejected) {
   DaemonFixture fx;
   UniqueFd raw = connect_local(fx.daemon->port());
   ASSERT_TRUE(send_message(raw.get(), ReleaseReplyMsg{1}));
-  std::uint8_t byte = 0;
-  EXPECT_FALSE(read_full(raw.get(), &byte, 1));  // connection dropped
+  FrameReader reader;
+  EXPECT_FALSE(reader.next(raw.get()).has_value());  // connection dropped
 }
 
 TEST(BundleDaemon, StopWakesBlockedClients) {

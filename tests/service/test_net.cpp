@@ -1,8 +1,8 @@
 // FrameReader tests over a Unix socketpair: burst decoding (many frames
-// from one write, one recv), the syscall-free buffered_next drain, the
-// non-blocking try_next state machine, mid-frame EOF handling, a frame
-// larger than one receive chunk, and buffer compaction with a partial
-// frame left in it. These pin the buffered transport that both the
+// from one write, one recv), the syscall-free buffered_next drain,
+// mid-frame EOF handling, a frame larger than one receive chunk, buffer
+// compaction with a partial frame left in it, and the wake-ups a reader
+// pays per round trip. These pin the buffered transport that both the
 // daemon and BundleClient read every frame through. The LocalSocket
 // tests pin the abstract "@fbcd.<port>" name BundleClient dials.
 #include "service/net.hpp"
@@ -12,9 +12,13 @@
 #include <sys/socket.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <iterator>
 #include <optional>
+#include <string>
+#include <thread>
 #include <variant>
 #include <vector>
 
@@ -92,23 +96,6 @@ TEST(FrameReader, BufferedNextDrainsTheBurstWithoutTouchingTheSocket) {
   // Burst exhausted: buffered_next reports "nothing complete" instead of
   // blocking or probing the socket.
   EXPECT_FALSE(reader.buffered_next(&out));
-}
-
-TEST(FrameReader, TryNextReportsEmptyGotAndEof) {
-  SocketPair pair;
-  FrameReader reader;
-  Message out;
-
-  // Nothing written yet: Empty, not a block.
-  EXPECT_EQ(reader.try_next(pair.b.get(), &out), TryRecv::Empty);
-
-  ASSERT_TRUE(send_message(pair.a.get(), Message{acquire_msg(42)}));
-  EXPECT_EQ(reader.try_next(pair.b.get(), &out), TryRecv::Got);
-  EXPECT_EQ(cookie_of(out), 42u);
-  EXPECT_EQ(reader.try_next(pair.b.get(), &out), TryRecv::Empty);
-
-  pair.a.reset();
-  EXPECT_EQ(reader.try_next(pair.b.get(), &out), TryRecv::Eof);
 }
 
 TEST(FrameReader, MidFrameEofThrows) {
@@ -202,6 +189,46 @@ TEST(FrameReader, ManyFramesInUnevenPiecesSurviveCompaction) {
   EXPECT_GT(partial_headers_left, 0u);
   pair.a.reset();
   EXPECT_FALSE(reader.next(pair.b.get()).has_value());
+}
+
+/// The calling thread's voluntary context switches so far.
+std::uint64_t voluntary_switches() {
+  std::ifstream status("/proc/thread-self/status");
+  std::string line;
+  const std::string key = "voluntary_ctxt_switches:";
+  while (std::getline(status, line))
+    if (line.rfind(key, 0) == 0) return std::stoull(line.substr(key.size()));
+  ADD_FAILURE() << "no " << key << " line in /proc/thread-self/status";
+  return 0;
+}
+
+TEST(FrameReader, SleepsOncePerRoundTrip) {
+  // A client waiting for its reply must wake only when the reply comes,
+  // not also when the server reads the request. A reader asleep in
+  // recv() is woken by both: 2 switches per round trip once the server
+  // takes a moment (here 100 us) before it replies.
+  SocketPair pair;
+  constexpr int kRoundTrips = 2000;
+  std::thread echo([&] {
+    FrameReader reader;
+    while (std::optional<Message> request = reader.next(pair.b.get())) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      if (!send_message(pair.b.get(), *request)) break;
+    }
+  });
+  FrameReader reader;
+  const std::uint64_t before = voluntary_switches();
+  int answered = 0;
+  while (answered < kRoundTrips &&
+         send_message(pair.a.get(), Message{acquire_msg(1)}) &&
+         reader.next(pair.a.get()).has_value())
+    ++answered;
+  const double per_round_trip =
+      static_cast<double>(voluntary_switches() - before) / kRoundTrips;
+  pair.a.shutdown_both();  // ends the echo thread
+  echo.join();
+  ASSERT_EQ(answered, kRoundTrips);
+  EXPECT_LE(per_round_trip, 1.5) << "voluntary switches per round trip";
 }
 
 /// Holds an ephemeral TCP port, so no daemon elsewhere binds it (and,

@@ -69,10 +69,9 @@ TEST(Protocol, ReleasePairRoundTrips) {
   EXPECT_EQ(std::get<ReleaseReplyMsg>(reply).ok, 1u);
 }
 
-TEST(Protocol, StatsPairRoundTrips) {
-  EXPECT_TRUE(std::holds_alternative<StatsRequestMsg>(
-      round_trip(StatsRequestMsg{})));
-
+/// Stats whose fields hold 1, 2, ... 19 in the documented wire order
+/// (docs/SERVING.md).
+ServiceStats numbered_stats() {
   ServiceStats stats;
   stats.requests = 1;
   stats.request_hits = 2;
@@ -93,13 +92,27 @@ TEST(Protocol, StatsPairRoundTrips) {
   stats.used_bytes = 17;
   stats.capacity_bytes = 18;
   stats.resident_files = 19;
-  const Message decoded = round_trip(StatsReplyMsg{stats});
+  return stats;
+}
+
+TEST(Protocol, StatsPairRoundTrips) {
+  EXPECT_TRUE(std::holds_alternative<StatsRequestMsg>(
+      round_trip(StatsRequestMsg{})));
+
+  const Message decoded = round_trip(StatsReplyMsg{numbered_stats()});
   const auto& out = std::get<StatsReplyMsg>(decoded);
-  EXPECT_EQ(out.stats.requests, 1u);
-  EXPECT_EQ(out.stats.transfer_failures, 8u);
-  EXPECT_EQ(out.stats.queue_depth, 12u);
-  EXPECT_EQ(out.stats.resident_files, 19u);
-  EXPECT_EQ(out.stats.capacity_bytes, 18u);
+  EXPECT_EQ(out.stats, numbered_stats());
+}
+
+TEST(Protocol, StatsReplyBytesAreNineteenU64sInWireOrder) {
+  std::vector<std::uint8_t> frame;
+  encode_frame(StatsReplyMsg{numbered_stats()}, &frame);
+  std::vector<std::uint8_t> expected = {19 * 8, 0, 0, 0, 6};
+  for (std::uint8_t field = 1; field <= 19; ++field) {
+    expected.push_back(field);
+    expected.insert(expected.end(), 7, 0);
+  }
+  EXPECT_EQ(frame, expected);
 }
 
 TEST(Protocol, MessageTypeMatchesVariantOrder) {

@@ -47,25 +47,12 @@ std::vector<FileId> parse_files(const std::string& list) {
 
 void print_stats(const service::ServiceStats& s) {
   TextTable table({"counter", "value"});
-  table.add_row({"requests", std::to_string(s.requests)});
-  table.add_row({"request_hits", std::to_string(s.request_hits)});
-  table.add_row({"rejected_full", std::to_string(s.rejected_full)});
-  table.add_row({"timed_out", std::to_string(s.timed_out)});
-  table.add_row({"unserviceable", std::to_string(s.unserviceable)});
-  table.add_row({"invalid", std::to_string(s.invalid)});
-  table.add_row({"transfer_retries", std::to_string(s.transfer_retries)});
-  table.add_row({"transfer_failures", std::to_string(s.transfer_failures)});
-  table.add_row({"leases_granted", std::to_string(s.leases_granted)});
-  table.add_row({"leases_released", std::to_string(s.leases_released)});
-  table.add_row({"active_leases", std::to_string(s.active_leases)});
-  table.add_row({"queue_depth", std::to_string(s.queue_depth)});
-  table.add_row({"evictions", std::to_string(s.evictions)});
-  table.add_row({"bytes_requested", format_bytes(s.bytes_requested)});
-  table.add_row({"bytes_missed", format_bytes(s.bytes_missed)});
-  table.add_row({"bytes_evicted", format_bytes(s.bytes_evicted)});
-  table.add_row({"used_bytes", format_bytes(s.used_bytes)});
-  table.add_row({"capacity_bytes", format_bytes(s.capacity_bytes)});
-  table.add_row({"resident_files", std::to_string(s.resident_files)});
+  for (const service::StatField& field : service::kServiceStatsFields) {
+    const std::uint64_t value = s.*field.member;
+    table.add_row({field.name, field.kind == service::StatKind::Bytes
+                                   ? format_bytes(value)
+                                   : std::to_string(value)});
+  }
   table.print(std::cout);
 }
 

@@ -10,25 +10,14 @@
 //
 // Drive it with fbcctl (single-shot) or fbcload (load generator). The
 // daemon runs until SIGINT/SIGTERM.
-#include <atomic>
-#include <chrono>
 #include <csignal>
 #include <iostream>
-#include <thread>
 
 #include "serving_common.hpp"
 #include "service/daemon.hpp"
 #include "util/log.hpp"
 
 using namespace fbc;
-
-namespace {
-
-std::atomic<bool> g_stop{false};
-
-void handle_signal(int) { g_stop.store(true); }
-
-}  // namespace
 
 int main(int argc, char** argv) {
   CliParser cli("fbcd", "Serve bundle leases over the fbcd wire protocol");
@@ -41,6 +30,7 @@ int main(int argc, char** argv) {
 
   try {
     cli.parse(argc, argv);
+    const sigset_t stop_signals = tools::block_signals({SIGINT, SIGTERM});
     const service::ServiceConfig config = tools::service_config_from_cli(cli);
     const Workload workload =
         tools::build_scenario_workload(cli, config.cache_bytes);
@@ -57,11 +47,8 @@ int main(int argc, char** argv) {
               << " policy=" << config.policy
               << " cache=" << format_bytes(config.cache_bytes) << std::endl;
 
-    std::signal(SIGINT, handle_signal);
-    std::signal(SIGTERM, handle_signal);
-    while (!g_stop.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
+    int caught = 0;
+    sigwait(&stop_signals, &caught);
 
     daemon.stop();
     const service::ServiceStats stats = server.stats();

@@ -25,12 +25,9 @@
 // to live shards until a probe succeeds. Drive it with fbcctl or
 // fbcload. Runs until SIGINT/SIGTERM; exits non-zero if any shard's
 // final audit reports an invariant violation.
-#include <atomic>
-#include <chrono>
 #include <csignal>
 #include <iostream>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "fleet.hpp"
@@ -40,10 +37,6 @@
 using namespace fbc;
 
 namespace {
-
-std::atomic<bool> g_stop{false};
-
-void handle_signal(int) { g_stop.store(true); }
 
 /// Path of the fbcd binary for --spawn-remote: the --fbcd flag, or the
 /// sibling of this binary (build/tools/fbcgrid -> build/tools/fbcd).
@@ -83,6 +76,9 @@ int main(int argc, char** argv) {
   std::vector<tools::ShardProcess> fleet;
   try {
     cli.parse(argc, argv);
+    // SIGCHLD too: the supervisor wakes only to stop or to reap a shard.
+    const sigset_t signals =
+        tools::block_signals({SIGINT, SIGTERM, SIGCHLD});
     const service::ServiceConfig service_config =
         tools::service_config_from_cli(cli);
     cluster::ClusterConfig cluster_config =
@@ -152,10 +148,10 @@ int main(int argc, char** argv) {
               << format_bytes(service_config.cache_bytes) << "/shard"
               << std::endl;
 
-    std::signal(SIGINT, handle_signal);
-    std::signal(SIGTERM, handle_signal);
-    while (!g_stop.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    // Sleeps until SIGINT or SIGTERM; each SIGCHLD before that reports
+    // the shards that died.
+    int caught = 0;
+    while (sigwait(&signals, &caught) == 0 && caught == SIGCHLD) {
       for (const std::size_t i : tools::reap_exited(fleet)) {
         // The router degrades placement around the dead shard on its
         // own; the supervisor just makes the death visible.

@@ -1,27 +1,9 @@
-#include "core/registry.hpp"
-
+// Fixture registry: registers AlphaPolicy only.
 #include "policies/alpha.hpp"
 // NOTE: policies/beta.hpp is deliberately not included (seeded L003).
 
 namespace fx {
 
-class PolicyStub {};
-
-PolicyStub make_policy(const char* name, const PolicyContext& context) {
-  (void)context;
-  const char* n = name;
-  std::string probe(n);
-  if (probe == "alpha") return PolicyStub{};
-  // Seeded bug: "ghost" is accepted here but policy_names() below does
-  // not list it, so --policy=all sweeps would silently skip it.
-  if (probe == "ghost") return PolicyStub{};  // fbclint:expect(L003)
-  return PolicyStub{};
-}
-
-// Seeded bug: "missing" is advertised but make_policy() cannot build it.
-// fbclint:expect(L003)
-std::vector<std::string> policy_names() {
-  return {"alpha", "missing"};
-}
+AlphaPolicy make_alpha() { return AlphaPolicy{}; }
 
 }  // namespace fx

@@ -1,19 +1,9 @@
-#include "core/registry.hpp"
-
+// Fixture registry: registers OmegaPolicy only.
 #include "policies/omega.hpp"
 // Seeded L003: policies/sigma.hpp exists but is not included here.
 
 namespace fx2 {
 
-struct PolicyStub {};
-
-PolicyStub make_policy(const char* name, const PolicyContext& context) {
-  (void)context;
-  std::string probe(name);
-  if (probe == "omega") return PolicyStub{};
-  return PolicyStub{};
-}
-
-std::vector<std::string> policy_names() { return {"omega"}; }
+OmegaPolicy make_omega() { return OmegaPolicy{}; }
 
 }  // namespace fx2

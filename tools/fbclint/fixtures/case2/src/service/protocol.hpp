@@ -1,4 +1,4 @@
-// Fixture protocol: three message types the codec switches must cover.
+// Fixture protocol: three message types and the wire stats rows.
 #pragma once
 
 #include <cstdint>
@@ -11,15 +11,14 @@ enum class MsgType : std::uint8_t {
   Stats = 3,
 };
 
-/// Wire stats block (L008): every field must be assigned by
-/// BundleServer::stats(), named by the codec, and counted by the
-/// StatsReply row of the docs wire table -- which here still says 2.
+/// Wire stats rows (L008): every row must be assigned by
+/// BundleServer::stats() and counted by the StatsReply row of the docs
+/// wire table -- which here still says 2.
 // fbclint:expect(L008)
-struct ServiceStats {
-  std::uint64_t requests = 0;
-  std::uint64_t hits = 0;
-  // fbclint:expect(L008) evictions is never encoded by the codec
-  std::uint64_t evictions = 0;  // fbclint:expect(L008) nor set by stats()
-};
+#define FBC_SERVICE_STATS_FIELDS(X) \
+  X(Count, requests)                \
+  X(Count, hits)                    \
+  X(Count, evictions)
+// fbclint:expect(L008) the evictions row above is never set by stats()
 
 }  // namespace fx2

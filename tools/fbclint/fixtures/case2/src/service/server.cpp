@@ -1,24 +1,14 @@
-// Fixture serving metrics export: metrics() reads the queue histogram
-// and the counters but forgets hold_us_ (the seeded L004 export gap in
-// server.hpp).
+// Fixture serving stats and counters.
 #include "server.hpp"
 
 #include "service/protocol.hpp"
 
 namespace fx2 {
 
-void export_histogram(const char* name, const Histogram* hist);
-void export_counters(const CounterRegistry* counters);
-
-void BundleServer::metrics() const {
-  export_histogram("queue_us", queue_us_);
-  export_counters(counters_);
-}
-
 void export_counter(const char* name, unsigned long long value);
 
 // Fills the wire stats block -- but never assigns evictions, the seeded
-// L008 staleness gap flagged at the field's declaration in protocol.hpp.
+// L008 staleness gap flagged at its row in protocol.hpp.
 ServiceStats BundleServer::stats() const {
   ServiceStats out;
   out.requests = 1;

@@ -1,21 +1,20 @@
-// Fixture serving layer: the L004 export scan and the L008 docs anchor.
+// Fixture serving layer: the L008 histogram rows and docs anchor.
 #pragma once
 
 namespace fx2 {
 
 class Histogram;
-class CounterRegistry;
 
-/// Serving layer whose observability members must all be exported by
-/// metrics(); the hold-time histogram is a seeded L004 export gap.
+/// Histogram rows: svc.wait_us is documented in the fixture docs, and
+/// svc.drain_us is the seeded undocumented-metric gap.
+#define FBC_SERVER_HISTOGRAMS(X) \
+  X(wait_us_, "svc.wait_us")     \
+  X(drain_us_, "svc.drain_us")
+// fbclint:expect(L008) the svc.drain_us row above is not documented
+
 class BundleServer {
  public:
   void metrics() const;
-
- private:
-  Histogram* queue_us_;
-  Histogram* hold_us_;  // fbclint:expect(L004) not exported by metrics()
-  CounterRegistry* counters_;
 };
 
 }  // namespace fx2

@@ -69,7 +69,7 @@ SourceFile lex_file(std::string path, const std::string& content) {
       std::string text;
       while (i < n && content[i] != '\n') {
         if (content[i] == '\\' && peek(1) == '\n') {
-          text += ' ';
+          text += '\n';  // keeps the line of each continued row
           i += 2;
           ++line;
           continue;

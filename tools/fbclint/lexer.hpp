@@ -7,7 +7,8 @@
 // diagnostics and `fbclint:ignore(...)` / `fbclint:expect(...)` markers can
 // be matched to source lines. It understands line/block comments, ordinary
 // and raw string literals, char literals, and treats each preprocessor
-// directive as one token spanning its (possibly continued) logical line.
+// directive as one token spanning its (possibly continued) logical line;
+// the token's text keeps a line break at each continuation.
 #pragma once
 
 #include <string>

@@ -536,18 +536,12 @@ ProjectModel build_model(std::vector<SourceFile> files) {
     collect_lock_annotations(f, model);
     if (path_ends_with(f.path, "core/registry.cpp"))
       model.registry_cpp = static_cast<int>(i);
-    if (path_ends_with(f.path, "core/registry.hpp"))
-      model.registry_hpp = static_cast<int>(i);
     if (path_ends_with(f.path, "cache/metrics.hpp"))
       model.metrics_hpp = static_cast<int>(i);
-    if (path_ends_with(f.path, "fbcsim.cpp"))
-      model.fbcsim_cpp = static_cast<int>(i);
     if (path_ends_with(f.path, "service/server.hpp"))
       model.service_hpp = static_cast<int>(i);
     if (path_ends_with(f.path, "service/protocol.hpp"))
       model.protocol_hpp = static_cast<int>(i);
-    if (path_ends_with(f.path, "service/protocol.cpp"))
-      model.protocol_cpp = static_cast<int>(i);
     if (path_ends_with(f.path, "service/server.cpp"))
       model.server_cpp = static_cast<int>(i);
     if (path_ends_with(f.path, "obs/histogram.hpp"))

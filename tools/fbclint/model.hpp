@@ -10,9 +10,9 @@
 //                                 the rvalue side of the L001 bug class
 //   * class graph                 bases, override sets, wrapped-policy
 //                                 members (adapter detection for L002)
-//   * project anchors             registry.cpp / registry.hpp / metrics.hpp /
-//                                 fbcsim.cpp, found by path suffix, for the
-//                                 completeness rules L003/L004
+//   * project anchors             registry.cpp / metrics.hpp / protocol.hpp /
+//                                 server.{hpp,cpp} / ..., found by path
+//                                 suffix, for the rules L003/L004/L008
 //
 // Everything is heuristic token matching. The contract is: precise on this
 // codebase and its fixture trees (enforced by --self-test and the repo-clean
@@ -115,17 +115,13 @@ struct ProjectModel {
 
   // Anchors (indices into files, -1 when absent from the scanned set).
   int registry_cpp = -1;  // path ends core/registry.cpp
-  int registry_hpp = -1;  // path ends core/registry.hpp
   int metrics_hpp = -1;   // path ends cache/metrics.hpp
-  int fbcsim_cpp = -1;    // basename fbcsim.cpp
-  int service_hpp = -1;   // path ends service/server.hpp (BundleServer)
-  int protocol_hpp = -1;  // path ends service/protocol.hpp (MsgType)
-  int protocol_cpp = -1;  // path ends service/protocol.cpp (codec switches)
+  int service_hpp = -1;   // path ends service/server.hpp (histogram rows)
+  int protocol_hpp = -1;  // path ends service/protocol.hpp (MsgType, stats)
   int server_cpp = -1;    // path ends service/server.cpp (L008 stats/metrics)
   /// Observability headers: their merge()-owning classes (Histogram,
   /// CounterRegistry) get the same L004 merge-completeness scan as
-  /// cache/metrics.hpp, and BundleServer's Histogram/CounterRegistry
-  /// members must all be exported by BundleServer::metrics().
+  /// cache/metrics.hpp.
   int obs_histogram_hpp = -1;  // path ends obs/histogram.hpp
   int obs_counter_hpp = -1;    // path ends obs/counter.hpp
   /// The router translation unit, the only other file that mints obs

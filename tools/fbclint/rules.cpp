@@ -107,43 +107,13 @@ std::vector<Diagnostic> rule_hook_completeness(const ProjectModel& model) {
   return out;
 }
 
-namespace {
-
-/// Finds the body token range (open brace, close brace) of the free
-/// function `name` in `file`; returns false when absent.
-bool find_function_body(const SourceFile& file, const char* name,
-                        std::size_t* body_open, std::size_t* body_close) {
-  const auto& toks = file.tokens;
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (!is_ident(toks[i], name) || !is_punct(toks[i + 1], "(")) continue;
-    const std::size_t close = match_forward(toks, i + 1);
-    if (close + 1 >= toks.size()) continue;
-    if (!is_punct(toks[close + 1], "{")) continue;
-    *body_open = close + 1;
-    *body_close = match_forward(toks, close + 1);
-    return *body_close < toks.size();
-  }
-  return false;
-}
-
-std::set<std::string> strings_in_range(const SourceFile& file,
-                                       std::size_t begin, std::size_t end) {
-  std::set<std::string> out;
-  for (std::size_t i = begin; i < end && i < file.tokens.size(); ++i)
-    if (file.tokens[i].kind == TokKind::String)
-      out.insert(file.tokens[i].text);
-  return out;
-}
-
-}  // namespace
-
 std::vector<Diagnostic> rule_registry_completeness(const ProjectModel& model) {
   std::vector<Diagnostic> out;
   if (model.registry_cpp < 0) return out;
   const SourceFile& registry =
       model.files[static_cast<std::size_t>(model.registry_cpp)];
 
-  // (a) Every policy header must be #included by the registry.
+  // Every policy header must be #included by the registry.
   for (const SourceFile& file : model.files) {
     if (!file.is_header() ||
         file.path.find("/policies/") == std::string::npos)
@@ -161,143 +131,6 @@ std::vector<Diagnostic> rule_registry_completeness(const ProjectModel& model) {
                          "' is not #included by core/registry.cpp; the "
                          "policy cannot be constructed by name"});
   }
-
-  // (b) policy_names() and make_policy() must agree.
-  std::size_t names_open = 0, names_close = 0, make_open = 0, make_close = 0;
-  const bool have_names =
-      find_function_body(registry, "policy_names", &names_open, &names_close);
-  const bool have_make =
-      find_function_body(registry, "make_policy", &make_open, &make_close);
-  if (have_names && have_make) {
-    const std::set<std::string> declared =
-        strings_in_range(registry, names_open, names_close);
-    const std::set<std::string> handled =
-        strings_in_range(registry, make_open, make_close);
-    for (const std::string& name : declared) {
-      if (handled.count(name) == 0)
-        out.push_back({"L003", registry.path,
-                       registry.tokens[names_open].line,
-                       "policy name \"" + name +
-                           "\" is listed by policy_names() but never "
-                           "handled in make_policy()"});
-    }
-    // The reverse direction: every `name == "..."` comparison inside
-    // make_policy must be a declared name.
-    for (std::size_t i = make_open;
-         i + 2 < make_close && i + 2 < registry.tokens.size(); ++i) {
-      if (registry.tokens[i].kind == TokKind::Identifier &&
-          is_punct(registry.tokens[i + 1], "==") &&
-          registry.tokens[i + 2].kind == TokKind::String) {
-        const std::string& literal = registry.tokens[i + 2].text;
-        if (declared.count(literal) == 0)
-          out.push_back({"L003", registry.path, registry.tokens[i + 2].line,
-                         "make_policy() accepts \"" + literal +
-                             "\" but policy_names() does not list it"});
-      }
-    }
-  }
-
-  // (c) Every PolicyContext knob must be surfaced by the fbcsim CLI.
-  if (model.registry_hpp >= 0 && model.fbcsim_cpp >= 0) {
-    const SourceFile& hpp =
-        model.files[static_cast<std::size_t>(model.registry_hpp)];
-    const SourceFile& cli =
-        model.files[static_cast<std::size_t>(model.fbcsim_cpp)];
-    std::set<std::string> cli_idents;
-    for (const Token& t : cli.tokens)
-      if (t.kind == TokKind::Identifier) cli_idents.insert(t.text);
-    // Locate `struct PolicyContext {` and walk its members.
-    const auto& toks = hpp.tokens;
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-      if (!(is_ident(toks[i], "struct") || is_ident(toks[i], "class")) ||
-          !is_ident(toks[i + 1], "PolicyContext") ||
-          !is_punct(toks[i + 2], "{"))
-        continue;
-      const std::size_t body_close = match_forward(toks, i + 2);
-      std::size_t stmt_begin = i + 3;
-      int depth = 0;
-      bool has_paren = false;
-      for (std::size_t k = i + 3; k < body_close && k < toks.size(); ++k) {
-        if (is_punct(toks[k], "{")) ++depth;
-        if (is_punct(toks[k], "}")) --depth;
-        if (is_punct(toks[k], "(")) has_paren = true;
-        if (depth == 0 && is_punct(toks[k], ";")) {
-          // Member name: identifier before '=' or before the ';'.
-          std::size_t name_idx = 0;
-          for (std::size_t m = stmt_begin; m < k; ++m) {
-            if (is_punct(toks[m], "=")) break;
-            if (toks[m].kind == TokKind::Identifier) name_idx = m;
-          }
-          if (!has_paren && name_idx != 0 &&
-              cli_idents.count(toks[name_idx].text) == 0)
-            out.push_back({"L003", hpp.path, toks[name_idx].line,
-                           "PolicyContext knob '" + toks[name_idx].text +
-                               "' is not surfaced by the fbcsim CLI"});
-          stmt_begin = k + 1;
-          has_paren = false;
-        }
-      }
-      break;
-    }
-  }
-
-  // (f) Every switch over MsgType in the protocol codec must stay
-  // exhaustive: one case per enumerator and no 'default' (a default
-  // would silently swallow a newly added message type).
-  if (model.protocol_hpp >= 0 && model.protocol_cpp >= 0) {
-    const SourceFile& hpp =
-        model.files[static_cast<std::size_t>(model.protocol_hpp)];
-    const SourceFile& cpp =
-        model.files[static_cast<std::size_t>(model.protocol_cpp)];
-    std::set<std::string> enumerators;
-    const auto& ht = hpp.tokens;
-    for (std::size_t i = 0; i + 2 < ht.size(); ++i) {
-      if (!is_ident(ht[i], "enum") || !is_ident(ht[i + 1], "class") ||
-          !is_ident(ht[i + 2], "MsgType"))
-        continue;
-      std::size_t open = i + 3;
-      while (open < ht.size() && !is_punct(ht[open], "{") &&
-             !is_punct(ht[open], ";"))
-        ++open;
-      if (open >= ht.size() || !is_punct(ht[open], "{")) break;
-      const std::size_t close = match_forward(ht, open);
-      for (std::size_t k = open + 1; k < close && k < ht.size(); ++k)
-        if (ht[k].kind == TokKind::Identifier &&
-            (is_punct(ht[k - 1], "{") || is_punct(ht[k - 1], ",")))
-          enumerators.insert(ht[k].text);
-      break;
-    }
-    const auto& ct = cpp.tokens;
-    for (std::size_t i = 0; !enumerators.empty() && i + 1 < ct.size(); ++i) {
-      if (!is_ident(ct[i], "switch") || !is_punct(ct[i + 1], "(")) continue;
-      const std::size_t cond_close = match_forward(ct, i + 1);
-      if (cond_close + 1 >= ct.size() || !is_punct(ct[cond_close + 1], "{"))
-        continue;
-      const std::size_t body_close = match_forward(ct, cond_close + 1);
-      std::set<std::string> cases;
-      bool has_default = false;
-      for (std::size_t k = cond_close + 2;
-           k < body_close && k < ct.size(); ++k) {
-        if (is_ident(ct[k], "case") && k + 3 < ct.size() &&
-            is_ident(ct[k + 1], "MsgType") && is_punct(ct[k + 2], "::") &&
-            ct[k + 3].kind == TokKind::Identifier)
-          cases.insert(ct[k + 3].text);
-        if (is_ident(ct[k], "default")) has_default = true;
-      }
-      if (cases.empty()) continue;  // not a MsgType switch
-      for (const std::string& name : enumerators)
-        if (cases.count(name) == 0)
-          out.push_back({"L003", cpp.path, ct[i].line,
-                         "MsgType switch does not handle MsgType::" + name +
-                             "; the codec would reject or drop that "
-                             "message type"});
-      if (has_default)
-        out.push_back({"L003", cpp.path, ct[i].line,
-                       "MsgType switch has a 'default' label; it would "
-                       "silently swallow a newly added message type "
-                       "instead of failing the exhaustiveness check"});
-    }
-  }
   return out;
 }
 
@@ -306,115 +139,6 @@ namespace {
 /// L004 merge-completeness scan of one metrics-bearing header: every
 /// data member of a merge()-owning class must appear in the merge body,
 /// and scalar members need a default member initializer.
-void check_merge_completeness(const ProjectModel& model, int file_index,
-                              std::vector<Diagnostic>* out);
-
-}  // namespace
-
-std::vector<Diagnostic> rule_metrics_completeness(const ProjectModel& model) {
-  std::vector<Diagnostic> out;
-  // (a) Merge completeness over the aggregating-metrics headers: the
-  // cache accounting plus the obs distribution containers.
-  for (const int anchor :
-       {model.metrics_hpp, model.obs_histogram_hpp, model.obs_counter_hpp})
-    check_merge_completeness(model, anchor, &out);
-
-  // (b) Export completeness: every obs::Histogram / obs::CounterRegistry
-  // member of BundleServer must be read by BundleServer::metrics() -- an
-  // unexported distribution is recorded forever but can never leave the
-  // process over MsgType::MetricsReply.
-  if (model.service_hpp >= 0) {
-    const SourceFile& hpp =
-        model.files[static_cast<std::size_t>(model.service_hpp)];
-    const auto& toks = hpp.tokens;
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-      if (!is_ident(toks[i], "class") ||
-          !is_ident(toks[i + 1], "BundleServer") ||
-          !is_punct(toks[i + 2], "{"))
-        continue;
-      const std::size_t body_open = i + 2;
-      const std::size_t body_close = match_forward(toks, body_open);
-      if (body_close >= toks.size()) break;
-
-      // Collect the observability members (statements naming Histogram
-      // or CounterRegistry, excluding function declarations).
-      std::vector<std::size_t> members;  // name token indices
-      std::size_t stmt_begin = body_open + 1;
-      int depth = 0;
-      bool has_paren = false;
-      for (std::size_t k = body_open + 1; k < body_close; ++k) {
-        if (is_punct(toks[k], "{")) ++depth;
-        if (is_punct(toks[k], "}")) --depth;
-        if (depth > 0) continue;
-        if (is_punct(toks[k], "(")) has_paren = true;
-        if (is_punct(toks[k], ":") && k > stmt_begin &&
-            (is_ident(toks[k - 1], "public") ||
-             is_ident(toks[k - 1], "private") ||
-             is_ident(toks[k - 1], "protected"))) {
-          stmt_begin = k + 1;
-          has_paren = false;
-          continue;
-        }
-        if (!is_punct(toks[k], ";")) continue;
-        if (!has_paren) {
-          bool is_obs_member = false;
-          std::size_t name_idx = 0;
-          for (std::size_t m = stmt_begin; m < k; ++m) {
-            if (is_punct(toks[m], "=")) break;
-            if (toks[m].kind != TokKind::Identifier) continue;
-            if (toks[m].text == "Histogram" ||
-                toks[m].text == "CounterRegistry")
-              is_obs_member = true;
-            name_idx = m;
-          }
-          if (is_obs_member && name_idx != 0) members.push_back(name_idx);
-        }
-        stmt_begin = k + 1;
-        has_paren = false;
-      }
-
-      // Identifiers read by BundleServer::metrics() (out-of-line body,
-      // any scanned file).
-      std::set<std::string> exported;
-      bool found_body = false;
-      for (const SourceFile& file : model.files) {
-        const auto& ft = file.tokens;
-        for (std::size_t k = 0; k + 3 < ft.size(); ++k) {
-          if (!is_ident(ft[k], "BundleServer") || !is_punct(ft[k + 1], "::") ||
-              !is_ident(ft[k + 2], "metrics") || !is_punct(ft[k + 3], "("))
-            continue;
-          const std::size_t close = match_forward(ft, k + 3);
-          for (std::size_t m = close + 1;
-               m < std::min(close + 4, ft.size()); ++m) {
-            if (is_punct(ft[m], ";")) break;
-            if (!is_punct(ft[m], "{")) continue;
-            const std::size_t end = match_forward(ft, m);
-            for (std::size_t t = m; t < end && t < ft.size(); ++t)
-              if (ft[t].kind == TokKind::Identifier)
-                exported.insert(ft[t].text);
-            found_body = true;
-            break;
-          }
-        }
-      }
-      for (const std::size_t name_idx : members) {
-        const std::string& member = toks[name_idx].text;
-        if (found_body && exported.count(member) > 0) continue;
-        out.push_back(
-            {"L004", hpp.path, toks[name_idx].line,
-             "observability member '" + member +
-                 "' of BundleServer is not exported by "
-                 "BundleServer::metrics(); it records forever but never "
-                 "reaches MsgType::MetricsReply or fbcctl metrics"});
-      }
-      break;
-    }
-  }
-  return out;
-}
-
-namespace {
-
 void check_merge_completeness(const ProjectModel& model, int file_index,
                               std::vector<Diagnostic>* out) {
   if (file_index < 0) return;
@@ -550,6 +274,15 @@ void check_merge_completeness(const ProjectModel& model, int file_index,
 }
 
 }  // namespace
+
+std::vector<Diagnostic> rule_metrics_completeness(const ProjectModel& model) {
+  std::vector<Diagnostic> out;
+  // The cache accounting plus the obs distribution containers.
+  for (const int anchor :
+       {model.metrics_hpp, model.obs_histogram_hpp, model.obs_counter_hpp})
+    check_merge_completeness(model, anchor, &out);
+  return out;
+}
 
 std::vector<Diagnostic> rule_determinism(const ProjectModel& model) {
   std::vector<Diagnostic> out;
@@ -1052,37 +785,38 @@ bool read_text_file(const std::string& path, std::string* out) {
   return true;
 }
 
-/// Member (name token index) list of `struct Name {` in `file`; returns
-/// false when the struct is absent. `struct_line` gets the keyword line.
-bool collect_struct_fields(const SourceFile& file, const char* struct_name,
-                           std::vector<std::size_t>* fields,
-                           int* struct_line) {
-  const auto& toks = file.tokens;
-  for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-    if (!(is_ident(toks[i], "struct") || is_ident(toks[i], "class")) ||
-        !is_ident(toks[i + 1], struct_name) || !is_punct(toks[i + 2], "{"))
-      continue;
-    *struct_line = toks[i].line;
-    const std::size_t body_close = match_forward(toks, i + 2);
-    std::size_t stmt_begin = i + 3;
-    int depth = 0;
-    bool has_paren = false;
-    for (std::size_t k = i + 3; k < body_close && k < toks.size(); ++k) {
-      if (is_punct(toks[k], "{")) ++depth;
-      if (is_punct(toks[k], "}")) --depth;
-      if (depth > 0) continue;
-      if (is_punct(toks[k], "(")) has_paren = true;
-      if (!is_punct(toks[k], ";")) continue;
-      if (!has_paren) {
-        std::size_t name_idx = 0;
-        for (std::size_t m = stmt_begin; m < k; ++m) {
-          if (is_punct(toks[m], "=")) break;
-          if (toks[m].kind == TokKind::Identifier) name_idx = m;
-        }
-        if (name_idx != 0) fields->push_back(name_idx);
+/// One X(...) row of an X-macro list: the first token of each argument.
+using MacroRow = std::vector<Token>;
+
+/// The rows of the X-macro list `#define name(X) X(...) X(...) ...` in
+/// `file`, each token carrying the line its row sits on; false when
+/// `file` does not define `name`. `define_line` gets the #define's line.
+bool macro_rows(const SourceFile& file, const std::string& name,
+                std::vector<MacroRow>* rows, int* define_line) {
+  for (const Token& d : file.directives) {
+    std::istringstream head(d.text.substr(1));
+    std::string keyword, macro;
+    head >> keyword >> macro;
+    if (keyword != "define" || !macro.starts_with(name + "(")) continue;
+    *define_line = d.line;
+    // The body keeps its continuation line breaks, so its lines count
+    // from the #define's.
+    const SourceFile body =
+        lex_file(file.path, d.text.substr(d.text.find(')') + 1));
+    const auto& toks = body.tokens;
+    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+      if (toks[i].kind != TokKind::Identifier || !is_punct(toks[i + 1], "("))
+        continue;
+      const std::size_t close = match_forward(toks, i + 1);
+      if (close >= toks.size()) break;
+      MacroRow row;
+      for (const auto& [b, e] : split_args(toks, i + 1, close)) {
+        Token arg = toks[b];
+        arg.line += d.line - 1;
+        row.push_back(std::move(arg));
       }
-      stmt_begin = k + 1;
-      has_paren = false;
+      rows->push_back(std::move(row));
+      i = close;
     }
     return true;
   }
@@ -1211,40 +945,27 @@ std::vector<Diagnostic> rule_wire_coherence(const ProjectModel& model) {
     }
   }
 
-  // (a) Every ServiceStats field must be assigned by BundleServer::stats()
-  // and named by the codec; the SERVING.md StatsReply row must count them.
-  std::vector<std::size_t> fields;
-  int stats_struct_line = 0;
-  if (collect_struct_fields(proto_hpp, "ServiceStats", &fields,
-                            &stats_struct_line)) {
+  // (a) Every FBC_SERVICE_STATS_FIELDS row must be assigned by
+  // BundleServer::stats(), and the SERVING.md StatsReply row must count
+  // the rows.
+  std::vector<MacroRow> stats_rows;
+  int stats_line = 0;
+  if (macro_rows(proto_hpp, "FBC_SERVICE_STATS_FIELDS", &stats_rows,
+                 &stats_line)) {
     if (model.server_cpp >= 0) {
       const SourceFile& server_cpp =
           model.files[static_cast<std::size_t>(model.server_cpp)];
       std::set<std::string> stats_idents;
       if (method_body_idents(server_cpp, "BundleServer", "stats",
                              &stats_idents)) {
-        for (const std::size_t f : fields)
-          if (stats_idents.count(proto_hpp.tokens[f].text) == 0)
-            out.push_back({"L008", proto_hpp.path, proto_hpp.tokens[f].line,
-                           "ServiceStats field '" + proto_hpp.tokens[f].text +
+        for (const MacroRow& row : stats_rows)
+          if (row.size() > 1 && stats_idents.count(row[1].text) == 0)
+            out.push_back({"L008", proto_hpp.path, row[1].line,
+                           "ServiceStats field '" + row[1].text +
                                "' is never assigned by "
                                "BundleServer::stats(); it goes over the "
                                "wire as a stale zero"});
       }
-    }
-    if (model.protocol_cpp >= 0) {
-      const SourceFile& proto_cpp =
-          model.files[static_cast<std::size_t>(model.protocol_cpp)];
-      std::set<std::string> codec_idents;
-      for (const Token& t : proto_cpp.tokens)
-        if (t.kind == TokKind::Identifier) codec_idents.insert(t.text);
-      for (const std::size_t f : fields)
-        if (codec_idents.count(proto_hpp.tokens[f].text) == 0)
-          out.push_back({"L008", proto_hpp.path, proto_hpp.tokens[f].line,
-                         "ServiceStats field '" + proto_hpp.tokens[f].text +
-                             "' is never touched by the protocol codec "
-                             "(protocol.cpp); encode and decode would "
-                             "silently skip it"});
     }
     if (have_serving) {
       bool row_found = false;
@@ -1255,17 +976,17 @@ std::vector<Diagnostic> rule_wire_coherence(const ProjectModel& model) {
           continue;
         row_found = true;
         for (const int n : standalone_ints(line, at))
-          if (n == static_cast<int>(fields.size())) count_ok = true;
+          if (n == static_cast<int>(stats_rows.size())) count_ok = true;
       }
       if (!row_found)
-        out.push_back({"L008", proto_hpp.path, stats_struct_line,
+        out.push_back({"L008", proto_hpp.path, stats_line,
                        "docs/SERVING.md wire table has no StatsReply row "
                        "documenting the ServiceStats payload"});
       else if (!count_ok)
-        out.push_back({"L008", proto_hpp.path, stats_struct_line,
+        out.push_back({"L008", proto_hpp.path, stats_line,
                        "docs/SERVING.md documents a StatsReply field count "
                        "that is not " +
-                           std::to_string(fields.size()) +
+                           std::to_string(stats_rows.size()) +
                            "; ServiceStats and the wire table have "
                            "drifted"});
     }
@@ -1311,25 +1032,37 @@ std::vector<Diagnostic> rule_wire_coherence(const ProjectModel& model) {
     }
   }
 
-  // (c) Every metric-shaped string literal in server.cpp and the cluster
-  // router (the only files that mint obs counter/histogram names) must
-  // be documented.
-  for (const int minting : {model.server_cpp, model.router_cpp}) {
-    if (minting < 0 || !have_serving) continue;
-    const SourceFile& minting_cpp =
-        model.files[static_cast<std::size_t>(minting)];
-    for (const Token& t : minting_cpp.tokens) {
-      if (t.kind != TokKind::String || !is_metric_literal(t.text)) continue;
-      if (serving_md.find(t.text) == std::string::npos &&
-          observability_md.find(t.text) == std::string::npos &&
-          cluster_md.find(t.text) == std::string::npos)
-        out.push_back({"L008", minting_cpp.path, t.line,
-                       "metric name \"" + t.text +
-                           "\" is not documented in docs/OBSERVABILITY.md, "
-                           "docs/SERVING.md or docs/CLUSTER.md; every "
-                           "exported counter and histogram must be "
-                           "discoverable"});
+  // (c) Every metric name must be documented: the metric-shaped string
+  // literals of server.cpp and the cluster router (the files that mint
+  // counter names) and the names of BundleServer's histogram rows.
+  const auto check_documented = [&](const std::string& path,
+                                    const Token& name) {
+    if (serving_md.find(name.text) == std::string::npos &&
+        observability_md.find(name.text) == std::string::npos &&
+        cluster_md.find(name.text) == std::string::npos)
+      out.push_back({"L008", path, name.line,
+                     "metric name \"" + name.text +
+                         "\" is not documented in docs/OBSERVABILITY.md, "
+                         "docs/SERVING.md or docs/CLUSTER.md; every "
+                         "exported counter and histogram must be "
+                         "discoverable"});
+  };
+  if (have_serving) {
+    for (const int minting : {model.server_cpp, model.router_cpp}) {
+      if (minting < 0) continue;
+      const SourceFile& file = model.files[static_cast<std::size_t>(minting)];
+      for (const Token& t : file.tokens)
+        if (t.kind == TokKind::String && is_metric_literal(t.text))
+          check_documented(file.path, t);
     }
+    const SourceFile& server_hpp =
+        model.files[static_cast<std::size_t>(model.service_hpp)];
+    std::vector<MacroRow> histogram_rows;
+    int histogram_line = 0;
+    if (macro_rows(server_hpp, "FBC_SERVER_HISTOGRAMS", &histogram_rows,
+                   &histogram_line))
+      for (const MacroRow& row : histogram_rows)
+        if (row.size() > 1) check_documented(server_hpp.path, row[1]);
   }
   return out;
 }

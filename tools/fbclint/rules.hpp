@@ -5,15 +5,17 @@
 //                             std::span / std::string_view parameter
 //   L002 hook completeness    adapter classes must forward every virtual
 //                             of the interface they wrap
-//   L003 registry/CLI         policies registered + context knobs surfaced
+//   L003 registry             every policy header #included by the
+//                             registry
 //   L004 metrics completeness counters present in merge() and
 //                             default-initialized
 //   L005 determinism          no rand/time/mt19937/unordered iteration
 //   L006 header hygiene       #pragma once, no `using namespace` in headers
 //   L007 lock discipline      fbc:lock-level ordering, fbc:guards coverage,
 //                             no blocking calls under a level-tagged lock
-//   L008 wire/stat coherence  ServiceStats + counters appear in stats(),
-//                             the codec, and the SERVING.md wire table
+//   L008 wire/stat coherence  ServiceStats rows set by stats() and counted
+//                             by the SERVING.md wire table; MsgType rows
+//                             and metric names documented
 #pragma once
 
 #include <vector>

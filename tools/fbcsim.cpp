@@ -21,12 +21,14 @@
 #include "core/optgen.hpp"
 #include "core/registry.hpp"
 #include "obs/histogram.hpp"
+#include "config_cli.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "workload/trace.hpp"
 
 using namespace fbc;
+using namespace fbc::tools;
 
 namespace {
 
@@ -59,6 +61,19 @@ void add_obs_rows(TextTable& table, const std::string& policy,
   }
 }
 
+/// Registers one flag per FBC_POLICY_CONTEXT_FIELDS row.
+void add_policy_options(CliParser& cli) {
+  const PolicyContext defaults;
+  FBC_POLICY_CONTEXT_FIELDS(FBC_ADD_FIELD)
+}
+
+/// A PolicyContext holding the tunables set by those flags.
+PolicyContext policy_context_from_cli(const CliParser& cli) {
+  PolicyContext config;
+  FBC_POLICY_CONTEXT_FIELDS(FBC_READ_FIELD)
+  return config;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -69,24 +84,10 @@ int main(int argc, char** argv) {
   cli.add_option("cache", "cache capacity", "10GiB");
   cli.add_option("queue", "admission queue length (1 = FCFS)", "1");
   cli.add_option("queue-mode", "batch|sliding (for queue > 1)", "batch");
-  cli.add_option("aging", "queue aging factor for optfb* policies", "0");
-  cli.add_option("history-cap",
-                 "bounded-memory history entries for optfb* (0 = unbounded)",
-                 "0");
-  cli.add_option("window", "sliding-window length in jobs for optfb-window",
-                 "1000");
   cli.add_option("warmup", "warm-up jobs excluded from metrics", "0");
+  // fbcsim's seed defaults to 1, not PolicyContext's own default.
   cli.add_option("seed", "seed for stochastic policies", "1");
-  cli.add_option("engine",
-                 "selection engine for optfb* policies: "
-                 "reference|incremental (identical results; incremental "
-                 "rescores only dirty history entries per miss)",
-                 "reference");
-  cli.add_option("duel-sample",
-                 "adaptive: one request in N joins the set-dueling sample",
-                 "8");
-  cli.add_option("duel-phase",
-                 "adaptive: leader re-election interval, in arrivals", "64");
+  add_policy_options(cli);
   cli.add_option("optgen-window",
                  "BundleOPTgen ring-buffer horizon, in jobs (--optgen)",
                  "4096");
@@ -111,8 +112,10 @@ int main(int argc, char** argv) {
       throw std::invalid_argument("unknown --queue-mode: " + queue_mode);
     }
 
-    const SelectEngine engine =
-        parse_select_engine(cli.get_string("engine"));
+    PolicyContext context = policy_context_from_cli(cli);
+    context.catalog = &trace.catalog;
+    context.jobs = trace.jobs;
+    context.seed = cli.get_u64("seed");
 
     std::vector<std::string> policies;
     if (cli.get_string("policy") == "all") {
@@ -126,16 +129,6 @@ int main(int argc, char** argv) {
     TextTable obs_table({"policy", "metric", "count", "mean", "p50", "p95",
                          "p99", "max"});
     for (const std::string& name : policies) {
-      PolicyContext context;
-      context.catalog = &trace.catalog;
-      context.jobs = trace.jobs;
-      context.seed = cli.get_u64("seed");
-      context.aging_factor = cli.get_double("aging");
-      context.history_max_entries = cli.get_u64("history-cap");
-      context.history_window_jobs = cli.get_u64("window");
-      context.select_engine = engine;
-      context.duel_sample_period = cli.get_u64("duel-sample");
-      context.duel_phase_jobs = cli.get_u64("duel-phase");
       PolicyPtr policy = make_policy(name, context);
       const SimulationResult result =
           simulate(config, trace.catalog, *policy, trace.jobs);

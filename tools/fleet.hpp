@@ -9,11 +9,11 @@
 // design, one host whose disk cache is split over processes, so no
 // connection crosses the TCP stack.
 //
-// Supervision is deliberately minimal: reap_exited() polls for dead
-// children (the router's health tracking handles the serving side of a
-// crash; the supervisor only reports it), and shutdown_fleet() SIGTERMs
-// the survivors and collects their exit statuses so a shard audit
-// violation still fails the whole grid.
+// Supervision is deliberately minimal: on each SIGCHLD, reap_exited()
+// collects dead children (the router's health tracking handles the
+// serving side of a crash; the supervisor only reports it), and
+// shutdown_fleet() SIGTERMs the survivors and collects their exit
+// statuses so a shard audit violation still fails the whole grid.
 #pragma once
 
 #include <sys/types.h>
@@ -67,7 +67,11 @@ inline ShardProcess spawn_shard_daemon(const std::string& binary,
     throw std::runtime_error("fleet: fork() failed spawning " + binary);
   }
   if (pid == 0) {
-    // Child: stdout -> pipe (the parent scrapes the port), then exec.
+    // Child: no signal blocked by the parent's supervisor, stdout -> pipe
+    // (the parent scrapes the port), then exec.
+    sigset_t none;
+    sigemptyset(&none);
+    sigprocmask(SIG_SETMASK, &none, nullptr);
     dup2(fds[1], STDOUT_FILENO);
     close(fds[0]);
     close(fds[1]);

@@ -2,27 +2,30 @@
 //
 // The config flags come from the field lists next to the structs
 // (FBC_SERVICE_CONFIG_FIELDS, FBC_CLUSTER_CONFIG_FIELDS; see
-// util/config_fields.hpp), expanded here into flag registration, parsing
-// and fbcgrid's per-shard fbcd command lines. The tools must also build
+// config_cli.hpp), expanded here into flag registration, parsing and
+// fbcgrid's per-shard fbcd command lines. The tools must also build
 // the *same* workload from the same scenario flags: fbcd serves the
 // catalog, fbcload replays the job stream against it, and because
 // generation is seed-deterministic the two processes agree on every file
 // id and size without exchanging anything but the flags.
 #pragma once
 
+#include <pthread.h>
+
 #include <algorithm>
+#include <csignal>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "cluster/config.hpp"
 #include "cluster/router.hpp"
 #include "cluster/shard.hpp"
+#include "config_cli.hpp"
 #include "core/incremental_select.hpp"
 #include "core/registry.hpp"
 #include "grid/mss.hpp"
@@ -31,64 +34,11 @@
 #include "testing/oracles.hpp"
 #include "util/bytes.hpp"
 #include "util/cli.hpp"
-#include "util/config_fields.hpp"
 #include "workload/scenarios.hpp"
 #include "workload/workload.hpp"
 
 namespace fbc::tools {
 
-/// Registers the flag of one field-list row; the --help default is the
-/// struct's own initial value.
-template <class Kind>
-void add_field(CliParser& cli, const char* flag, const char* help,
-               const config_field_t<Kind>& initial) {
-  using T = config_field_t<Kind>;
-  if constexpr (std::is_same_v<T, bool>) {
-    cli.add_flag(flag, help);
-  } else if constexpr (std::is_same_v<Kind, ByteSize>) {
-    cli.add_option(flag, help, format_bytes(initial));
-  } else if constexpr (std::is_enum_v<T>) {
-    cli.add_option(flag, help, to_string(initial));
-  } else {
-    std::ostringstream shown;
-    shown << initial;
-    cli.add_option(flag, help, shown.str());
-  }
-}
-
-/// Parses one field-list row. A flag the command line did not set leaves
-/// the struct's initial value in place; a bool flag sets its field.
-template <class Kind>
-void read_field(const CliParser& cli, const char* flag,
-                config_field_t<Kind>& field) {
-  using T = config_field_t<Kind>;
-  if (!cli.was_set(flag)) return;
-  if constexpr (std::is_same_v<T, bool>) {
-    field = cli.get_flag(flag);
-  } else if constexpr (std::is_same_v<Kind, ByteSize>) {
-    field = parse_bytes(cli.get_string(flag));
-  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
-    field = cli.get_u32(flag);
-  } else if constexpr (std::is_integral_v<T>) {
-    field = cli.get_u64(flag);
-  } else if constexpr (std::is_same_v<T, double>) {
-    field = cli.get_double(flag);
-  } else if constexpr (std::is_same_v<T, std::string>) {
-    field = cli.get_string(flag);
-  } else if constexpr (std::is_same_v<T, service::AdmitOrder>) {
-    field = service::parse_admit_order(cli.get_string(flag));
-  } else if constexpr (std::is_same_v<T, SelectEngine>) {
-    field = parse_select_engine(cli.get_string(flag));
-  } else {
-    static_assert(std::is_same_v<T, cluster::PlacementMode>);
-    field = cluster::parse_placement(cli.get_string(flag));
-  }
-}
-
-#define FBC_ADD_FIELD(kind, member, initial, flag, help) \
-  add_field<kind>(cli, flag, help, defaults.member);
-#define FBC_READ_FIELD(kind, member, initial, flag, help) \
-  read_field<kind>(cli, flag, config.member);
 #define FBC_FIELD_FLAG(kind, member, initial, flag, help) flag,
 
 /// Registers one flag per service::ServiceConfig field.
@@ -244,6 +194,17 @@ class RetryBudget {
  private:
   std::uint64_t remaining_ms_;
 };
+
+/// Blocks `signals` in the calling thread. Call it before any thread
+/// starts: every thread inherits the mask, so the signals stay pending
+/// until the supervisor takes them with sigwait() on the returned set.
+inline sigset_t block_signals(std::initializer_list<int> signals) {
+  sigset_t set;
+  sigemptyset(&set);
+  for (const int signal_number : signals) sigaddset(&set, signal_number);
+  pthread_sigmask(SIG_BLOCK, &set, nullptr);
+  return set;
+}
 
 /// Registers the scenario flags both serving tools share.
 inline void add_scenario_options(CliParser& cli) {
