@@ -36,6 +36,15 @@ struct SelectionCost {
     entries_rescored += other.entries_rescored;
     heap_ops += other.heap_ops;
   }
+
+  /// The effort counted since the snapshot `earlier` of the same counter.
+  [[nodiscard]] SelectionCost operator-(
+      const SelectionCost& earlier) const noexcept {
+    return {decisions - earlier.decisions,
+            candidates_scanned - earlier.candidates_scanned,
+            entries_rescored - earlier.entries_rescored,
+            heap_ops - earlier.heap_ops};
+  }
 };
 
 /// Accumulated counters for one simulation run.

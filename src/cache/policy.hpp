@@ -1,6 +1,8 @@
 // ReplacementPolicy: the interface every caching algorithm implements.
 //
-// The Simulator drives the protocol per arriving job r:
+// admit() (cache/simulator.hpp) drives the protocol per arriving job r,
+// for the simulator, the SRM, the bundle server and the adaptive policy's
+// shadow caches alike:
 //
 //   1. on_job_arrival(r, cache)      -- observe every arrival (history
 //                                       bookkeeping happens here);
@@ -10,8 +12,10 @@
 //        to evict. It may return MORE than needed (OptFileBundle
 //        reorganizes the whole cache); it must never return files of r
 //        itself or pinned files, and the freed bytes must cover `needed`.
-//   4. the simulator evicts the victims, loads r's missing files, then
-//      calls on_files_loaded(r, loaded, cache).
+//   4. the step evicts the victims, loads r's missing files, then
+//      calls on_files_loaded(r, loaded, cache);
+//   5. after a miss, it loads prefetch(r, cache) into free space and
+//      calls on_prefetched(loaded, cache).
 //
 // Policies are stateful and single-simulation: construct a fresh instance
 // (or call reset()) per run.
@@ -52,11 +56,11 @@ class ReplacementPolicy {
   /// freed. `bytes_needed` is > 0 and never exceeds what evicting every
   /// unpinned non-requested file would free. Returning extra victims is
   /// allowed; returning a file of `request`, a pinned file, or a
-  /// non-resident file is a contract violation (the simulator throws).
+  /// non-resident file is a contract violation (admit() throws).
   [[nodiscard]] virtual std::vector<FileId> select_victims(
       const Request& request, Bytes bytes_needed, const DiskCache& cache) = 0;
 
-  /// Called after the simulator loads `loaded` (the files of `request` that
+  /// Called after admit() loads `loaded` (the files of `request` that
   /// were missing) into the cache.
   virtual void on_files_loaded(const Request& request,
                                std::span<const FileId> loaded,
@@ -71,7 +75,7 @@ class ReplacementPolicy {
   /// state.
   virtual void on_file_evicted(FileId id) { (void)id; }
 
-  /// Called after the simulator admits files returned by prefetch() into
+  /// Called after admit() loads files returned by prefetch() into
   /// free space. `loaded` lists only the files actually inserted (already
   /// resident or non-fitting ones were skipped). Event-driven policies
   /// need this: prefetch is the one cache mutation not covered by
@@ -118,7 +122,7 @@ class ReplacementPolicy {
   }
 
   /// Cumulative selection-effort counters, or nullptr when the policy does
-  /// not instrument its replacement decisions. The simulator snapshots
+  /// not instrument its replacement decisions. admit() snapshots
   /// this around select_victims and charges the delta to CacheMetrics.
   [[nodiscard]] virtual const SelectionCost* selection_cost() const {
     return nullptr;

@@ -11,109 +11,105 @@ namespace fbc {
 Simulator::Simulator(const SimulatorConfig& config, const FileCatalog& catalog,
                      ReplacementPolicy& policy)
     : config_(config),
-      catalog_(&catalog),
       policy_(&policy),
       cache_(config.cache_bytes, catalog) {
   if (config_.queue_length == 0)
     throw std::invalid_argument("Simulator: queue_length must be >= 1");
 }
 
-void Simulator::serve_one(const Request& request, CacheMetrics& metrics) {
-  if (observer_ != nullptr) observer_->on_job_start(request, cache_);
-  policy_->on_job_arrival(request, cache_);
+namespace {
 
-  const Bytes requested = catalog_->request_bytes(request);
-  if (requested > cache_.capacity()) {
+[[noreturn, gnu::cold]] void contract_violation(
+    const ReplacementPolicy& policy, const char* what) {
+  throw PolicyContractViolation(policy.name() + ": " + what);
+}
+
+}  // namespace
+
+AdmitOutcome admit(const Request& request, DiskCache& cache,
+                   ReplacementPolicy& policy, CacheMetrics& metrics,
+                   SimulationObserver* observer) {
+  AdmitOutcome out;
+  policy.on_job_arrival(request, cache);
+
+  const FileCatalog& catalog = cache.catalog();
+  const Bytes requested = catalog.request_bytes(request);
+  if (requested > cache.capacity()) {
     // The bundle can never fit; the workload generators avoid this, but a
     // user-supplied trace may not.
+    out.serviceable = false;
     metrics.record_unserviceable();
-    FBC_LOG(Warn) << "skipping unserviceable request " << request.to_string()
-                  << " (" << format_bytes(requested) << " > cache "
-                  << format_bytes(cache_.capacity()) << ")";
-    if (observer_ != nullptr)
-      observer_->on_job_serviced(request, cache_, metrics);
-    return;
+    return out;
   }
 
-  const std::vector<FileId> missing = cache_.missing_files(request);
-  if (missing.empty()) {
-    metrics.record_job(requested, 0, request.size(), request.size());
-    policy_->on_request_hit(request, cache_);
-    if (observer_ != nullptr)
-      observer_->on_job_serviced(request, cache_, metrics);
-    return;
+  out.fetched = cache.missing_files(request);
+  out.demand_files = out.fetched.size();
+  out.missing_bytes = catalog.bundle_bytes(out.fetched);
+  metrics.record_job(requested, out.missing_bytes, request.size(),
+                     request.size() - out.demand_files);
+  if (out.fetched.empty()) {
+    out.request_hit = true;
+    policy.on_request_hit(request, cache);
+    return out;
   }
 
-  const Bytes missing_bytes = catalog_->bundle_bytes(missing);
-  const std::size_t files_hit = request.size() - missing.size();
-
-  // Pin the already-resident part of the bundle: no policy may evict files
-  // of the job being admitted.
-  for (FileId id : request.files) {
-    if (cache_.contains(id)) cache_.pin(id);
-  }
-
-  if (cache_.free_bytes() < missing_bytes) {
-    const Bytes needed = missing_bytes - cache_.free_bytes();
-    ++result_.decisions;
-    const SelectionCost* cost_counter = policy_->selection_cost();
-    const SelectionCost cost_before =
-        cost_counter != nullptr ? *cost_counter : SelectionCost{};
+  if (cache.free_bytes() < out.missing_bytes) {
+    const Bytes needed = out.missing_bytes - cache.free_bytes();
+    out.decided = true;
+    const SelectionCost* counter = policy.selection_cost();
+    const SelectionCost before =
+        counter != nullptr ? *counter : SelectionCost{};
     const std::vector<FileId> victims =
-        policy_->select_victims(request, needed, cache_);
-    if (cost_counter != nullptr) {
-      SelectionCost delta = *cost_counter;
-      delta.decisions -= cost_before.decisions;
-      delta.candidates_scanned -= cost_before.candidates_scanned;
-      delta.entries_rescored -= cost_before.entries_rescored;
-      delta.heap_ops -= cost_before.heap_ops;
-      metrics.record_selection_cost(delta);
-    }
+        policy.select_victims(request, needed, cache);
+    if (counter != nullptr) metrics.record_selection_cost(*counter - before);
     for (FileId victim : victims) {
       if (request.contains(victim))
-        throw PolicyContractViolation(
-            policy_->name() + ": tried to evict a file of the incoming request");
-      if (!cache_.contains(victim))
-        throw PolicyContractViolation(
-            policy_->name() + ": victim not resident (or listed twice)");
-      if (cache_.pinned(victim))
-        throw PolicyContractViolation(policy_->name() +
-                                      ": tried to evict a pinned file");
-      const Bytes size = catalog_->size_of(victim);
-      cache_.evict(victim);
-      metrics.record_eviction(size);
-      policy_->on_file_evicted(victim);
-      if (observer_ != nullptr) observer_->on_eviction(victim, cache_);
-      ++result_.victims;
+        contract_violation(policy,
+                           "tried to evict a file of the incoming request");
+      if (cache.pinned(victim))
+        contract_violation(policy, "tried to evict a pinned file");
+      if (!cache.evict(victim))
+        contract_violation(policy, "victim not resident (or listed twice)");
+      metrics.record_eviction(catalog.size_of(victim));
+      policy.on_file_evicted(victim);
+      if (observer != nullptr) observer->on_eviction(victim, cache);
     }
-    if (cache_.free_bytes() < missing_bytes)
-      throw PolicyContractViolation(policy_->name() +
-                                    ": victims freed insufficient space");
+    out.victims = victims.size();
+    if (cache.free_bytes() < out.missing_bytes)
+      contract_violation(policy, "victims freed insufficient space");
   }
 
-  for (FileId id : missing) cache_.insert(id);
-  policy_->on_files_loaded(request, missing, cache_);
-
-  for (FileId id : request.files) {
-    if (cache_.pinned(id)) cache_.unpin(id);
-  }
-
-  metrics.record_job(requested, missing_bytes, request.size(), files_hit);
+  for (FileId id : out.fetched) cache.insert(id);
+  policy.on_files_loaded(request, out.fetched, cache);
 
   // Speculative loads (Algorithm 2 step 3 under untruncated history):
   // admitted only into free space, charged as moved bytes.
-  std::vector<FileId> prefetched;
-  for (FileId id : policy_->prefetch(request, cache_)) {
-    if (cache_.contains(id)) continue;
-    const Bytes size = catalog_->size_of(id);
-    if (size > cache_.free_bytes()) continue;
-    cache_.insert(id);
+  for (FileId id : policy.prefetch(request, cache)) {
+    if (cache.contains(id)) continue;
+    const Bytes size = catalog.size_of(id);
+    if (size > cache.free_bytes()) continue;
+    cache.insert(id);
     metrics.record_prefetch(size);
-    prefetched.push_back(id);
+    out.fetched.push_back(id);
   }
-  if (!prefetched.empty()) policy_->on_prefetched(prefetched, cache_);
-  assert(cache_.used_bytes() <= cache_.capacity());
-  if (observer_ != nullptr) observer_->on_job_serviced(request, cache_, metrics);
+  if (out.fetched.size() > out.demand_files)
+    policy.on_prefetched(out.prefetched(), cache);
+  assert(cache.used_bytes() <= cache.capacity());
+  return out;
+}
+
+void Simulator::serve_one(const Request& request, CacheMetrics& metrics) {
+  if (observer_ != nullptr) observer_->on_job_start(request, cache_);
+  const AdmitOutcome out = admit(request, cache_, *policy_, metrics, observer_);
+  if (!out.serviceable)
+    FBC_LOG(Warn) << "skipping unserviceable request " << request.to_string()
+                  << " ("
+                  << format_bytes(cache_.catalog().request_bytes(request))
+                  << " > cache " << format_bytes(cache_.capacity()) << ")";
+  if (out.decided) ++result_.decisions;
+  result_.victims += out.victims;
+  if (observer_ != nullptr)
+    observer_->on_job_serviced(request, cache_, metrics);
 }
 
 SimulationResult Simulator::run(std::span<const Request> jobs) {

@@ -9,9 +9,12 @@
 //     request to serve ("serve the request of highest relative value in the
 //     queue ... and repeat ... until it becomes empty", §5.3).
 //
-// The simulator owns all invariant enforcement: files of the job being
-// admitted are pinned, victim lists are validated against the policy
-// contract, and the capacity invariant is asserted after every admission.
+// Each job goes through admit(), the one per-request admission step
+// (paper Algorithm 2) that the SRM, the bundle server and the adaptive
+// policy's shadow caches run too: it validates victim lists against the
+// policy contract, loads demand and prefetched files, and asserts the
+// capacity invariant after every admission. The simulator adds only the
+// warm-up split and the queue disciplines.
 #pragma once
 
 #include <span>
@@ -109,6 +112,47 @@ class SimulationObserver {
   }
 };
 
+/// What one admit() call did.
+struct AdmitOutcome {
+  /// False when the bundle can never fit: only on_job_arrival and the
+  /// unserviceable count happened, the cache is unchanged.
+  bool serviceable = true;
+  /// The whole bundle was resident on arrival.
+  bool request_hit = false;
+  /// A replacement decision (select_victims) was taken.
+  bool decided = false;
+  /// Files that decision evicted.
+  std::size_t victims = 0;
+  /// Bytes of the request that were missing (demand misses).
+  Bytes missing_bytes = 0;
+  /// Files loaded into the cache: the `demand_files` missing files of the
+  /// request, then the prefetched ones.
+  std::vector<FileId> fetched;
+  std::size_t demand_files = 0;
+
+  [[nodiscard]] std::span<const FileId> demand() const noexcept {
+    return std::span(fetched).first(demand_files);
+  }
+  [[nodiscard]] std::span<const FileId> prefetched() const noexcept {
+    return std::span(fetched).subspan(demand_files);
+  }
+};
+
+/// The per-request admission step every driver runs (paper Algorithm 2;
+/// the protocol in cache/policy.hpp): on_job_arrival; the unserviceable
+/// check; on a hit, on_request_hit; on a miss, select_victims when the
+/// missing bytes do not fit, each victim checked against the policy
+/// contract and evicted, the missing files loaded, then the policy's
+/// prefetch() loaded into free space. Counts go to `metrics` (the job,
+/// evictions, prefetched bytes, selection cost); `observer`, when set,
+/// sees each eviction. The step pins nothing: every policy exempts the
+/// request's own files before it looks at pins, and a driver that holds
+/// pins (the SRM's slots, the server's leases) takes them itself. Throws
+/// PolicyContractViolation on a bad victim list.
+AdmitOutcome admit(const Request& request, DiskCache& cache,
+                   ReplacementPolicy& policy, CacheMetrics& metrics,
+                   SimulationObserver* observer = nullptr);
+
 /// Single-run simulation driver (see file comment).
 class Simulator {
  public:
@@ -133,7 +177,6 @@ class Simulator {
   void serve_one(const Request& request, CacheMetrics& metrics);
 
   SimulatorConfig config_;
-  const FileCatalog* catalog_;
   ReplacementPolicy* policy_;
   DiskCache cache_;
   SimulationResult result_;

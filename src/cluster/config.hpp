@@ -3,7 +3,7 @@
 // A cluster is N BundleServer shards behind one ClusterRouter. The config
 // picks how bundles map to shards (placement strategy), when an affinity
 // bundle is too big for one shard and must scatter (spill_threshold), and
-// whether the shared MSS grows replica sites for replica-aware fetch.
+// when the router gives up on, and probes, a failing shard.
 //
 // The same config drives every cluster the project builds: the fbcgrid
 // fleet, the in-process stacks of cluster::make_local_cluster (fbcload
@@ -67,10 +67,6 @@ inline const char* to_string(PlacementMode mode) noexcept {
   /* More vnodes = smoother file distribution, slightly larger ring. */       \
   X(std::uint32_t, vnodes, 64, "vnodes",                                      \
     "consistent-hash virtual nodes per shard")                                \
-  X(std::uint32_t, replica_sites, 0, "replica-sites",                         \
-    "extra MSS replica sites for replica-aware fetch (0 = plain MSS)")        \
-  X(std::uint32_t, replicate_hot, 0, "replicate-hot",                         \
-    "hottest files replicated to every replica site")                         \
   /* The router then stops routing requests to the shard (degraded            \
      placement). */                                                           \
   X(std::uint32_t, down_threshold, 3, "down-threshold",                       \

@@ -5,6 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "cache/simulator.hpp"
 #include "util/log.hpp"
 
 namespace fbc {
@@ -38,43 +39,21 @@ void StorageResourceManager::release_finished(double now) {
 double StorageResourceManager::stage_files(const Request& request,
                                            JobOutcome& outcome,
                                            std::vector<FileId>& pinned) {
-  policy_->on_job_arrival(request, cache_);
-
   auto pin_once = [&](FileId id) {
     cache_.pin(id);
     pinned.push_back(id);
   };
-
-  const std::vector<FileId> missing = cache_.missing_files(request);
-  if (missing.empty()) {
-    outcome.request_hit = true;
-    policy_->on_request_hit(request, cache_);
-    for (FileId id : request.files) pin_once(id);
-    return 0.0;
-  }
-
-  const Bytes missing_bytes = mss_->catalog().bundle_bytes(missing);
-  // Pin the resident part of the bundle before any eviction decision.
+  // Pin the resident part of the bundle before any eviction decision, and
+  // the files loaded for it after.
   for (FileId id : request.files) {
     if (cache_.contains(id)) pin_once(id);
   }
-  if (cache_.free_bytes() < missing_bytes) {
-    const Bytes needed = missing_bytes - cache_.free_bytes();
-    for (FileId victim : policy_->select_victims(request, needed, cache_)) {
-      cache_.evict(victim);  // throws on pinned files (policy bug)
-      policy_->on_file_evicted(victim);
-    }
-    if (cache_.free_bytes() < missing_bytes)
-      throw std::runtime_error("SRM: policy freed insufficient space");
-  }
-  for (FileId id : missing) {
-    cache_.insert(id);
-    pin_once(id);
-  }
-  policy_->on_files_loaded(request, missing, cache_);
+  const AdmitOutcome admitted = admit(request, cache_, *policy_, metrics_);
+  for (FileId id : admitted.demand()) pin_once(id);
 
-  outcome.bytes_staged += missing_bytes;
-  return config_.transfers.stage_seconds(missing, *mss_);
+  outcome.request_hit = outcome.request_hit && admitted.request_hit;
+  outcome.bytes_staged += mss_->catalog().bundle_bytes(admitted.fetched);
+  return config_.transfers.stage_seconds(admitted.fetched, *mss_);
 }
 
 SrmReport StorageResourceManager::run(std::span<const GridJob> jobs) {
@@ -158,6 +137,7 @@ SrmReport StorageResourceManager::run(std::span<const GridJob> jobs) {
 
     double stage = 0.0;
     std::vector<FileId> pinned;
+    outcome.request_hit = true;  // until an admission misses
     if (job.model == ServiceModel::BundleAtATime) {
       stage = stage_files(job.request, outcome, pinned);
     } else {
@@ -168,7 +148,6 @@ SrmReport StorageResourceManager::run(std::span<const GridJob> jobs) {
         Request single({id});
         stage += stage_files(single, outcome, pinned);
       }
-      outcome.request_hit = outcome.bytes_staged == 0;
     }
 
     outcome.staged_s = outcome.start_s + stage;

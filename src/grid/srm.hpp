@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "cache/metrics.hpp"
 #include "cache/policy.hpp"
 #include "grid/backend.hpp"
 #include "grid/transfer.hpp"
@@ -107,9 +108,10 @@ class StorageResourceManager {
     std::vector<FileId> pinned;  ///< pins released when the job completes
   };
 
-  /// Ensures the request's files are resident (evicting via the policy if
-  /// needed), pins them (recorded in `pinned`), and returns the staging
-  /// makespan. Byte accounting goes to `outcome`.
+  /// Admits the request through the shared admit() step, pins its files
+  /// (recorded in `pinned`), and returns the staging makespan of the
+  /// files it loaded, prefetched ones included. Byte accounting and the
+  /// hit flag go to `outcome`.
   double stage_files(const Request& request, JobOutcome& outcome,
                      std::vector<FileId>& pinned);
 
@@ -120,6 +122,8 @@ class StorageResourceManager {
   const StorageBackend* mss_;
   ReplacementPolicy* policy_;
   DiskCache cache_;
+  /// admit()'s counters; the report keeps its own per-job accounting.
+  CacheMetrics metrics_;
   std::vector<Slot> slots_;
 };
 

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "cache/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace fbc {
@@ -62,43 +63,6 @@ void AdaptivePolicy::elect() {
   for (double& s : scores_) s = 0.0;
 }
 
-void AdaptivePolicy::shadow_step(std::size_t i, const Request& request,
-                                 double weight) {
-  DiskCache& shadow = *shadows_[i];
-  ReplacementPolicy& policy = *contenders_[i].shadow;
-  policy.on_job_arrival(request, shadow);
-  const Bytes bundle = catalog_->request_bytes(request);
-  if (bundle > shadow.capacity()) return;  // unserviceable: cache unchanged
-  if (shadow.supports(request)) {
-    policy.on_request_hit(request, shadow);
-    scores_[i] += weight;
-    return;
-  }
-  // Mini-simulator admission, mirroring Simulator::serve_one: pin the
-  // already-resident bundle files, evict the contender's victims, load the
-  // missing files.
-  const std::vector<FileId> missing = shadow.missing_files(request);
-  std::vector<FileId> pinned;
-  pinned.reserve(request.files.size());
-  for (FileId f : request.files) {
-    if (shadow.contains(f)) {
-      shadow.pin(f);
-      pinned.push_back(f);
-    }
-  }
-  const Bytes needed = shadow.missing_bytes(request);
-  if (needed > shadow.free_bytes()) {
-    const std::vector<FileId> victims =
-        policy.select_victims(request, needed - shadow.free_bytes(), shadow);
-    for (FileId v : victims) {
-      if (shadow.evict(v)) policy.on_file_evicted(v);
-    }
-  }
-  for (FileId f : missing) shadow.insert(f);
-  policy.on_files_loaded(request, missing, shadow);
-  for (FileId f : pinned) shadow.unpin(f);
-}
-
 void AdaptivePolicy::duel(const Request& request, const DiskCache& cache) {
   ensure_duel_state(cache);
   if (arrivals_ > 0 && arrivals_ % config_.phase_jobs == 0) elect();
@@ -108,7 +72,9 @@ void AdaptivePolicy::duel(const Request& request, const DiskCache& cache) {
   const double weight = (oracle_hit ? 2.0 : 1.0) *
                         static_cast<double>(catalog_->request_bytes(request));
   for (std::size_t i = 0; i < contenders_.size(); ++i) {
-    shadow_step(i, request, weight);
+    if (admit(request, *shadows_[i], *contenders_[i].shadow, shadow_metrics_)
+            .request_hit)
+      scores_[i] += weight;
   }
 }
 
@@ -127,17 +93,14 @@ std::vector<FileId> AdaptivePolicy::select_victims(const Request& request,
                                                    Bytes bytes_needed,
                                                    const DiskCache& cache) {
   ReplacementPolicy& lead = *contenders_[leader_].live;
-  const SelectionCost* before = lead.selection_cost();
-  const SelectionCost snapshot = before != nullptr ? *before : SelectionCost{};
-  std::vector<FileId> victims = lead.select_victims(request, bytes_needed, cache);
-  ++cost_.decisions;
-  const SelectionCost* after = lead.selection_cost();
-  if (before != nullptr && after != nullptr) {
-    cost_.candidates_scanned +=
-        after->candidates_scanned - snapshot.candidates_scanned;
-    cost_.entries_rescored += after->entries_rescored - snapshot.entries_rescored;
-    cost_.heap_ops += after->heap_ops - snapshot.heap_ops;
-  }
+  const SelectionCost* counter = lead.selection_cost();
+  const SelectionCost before = counter != nullptr ? *counter : SelectionCost{};
+  std::vector<FileId> victims =
+      lead.select_victims(request, bytes_needed, cache);
+  SelectionCost spent =
+      counter != nullptr ? *counter - before : SelectionCost{};
+  spent.decisions = 1;
+  cost_.merge(spent);
   return victims;
 }
 

@@ -10,12 +10,12 @@
 //   * Every contender also has a SHADOW instance driving a private shadow
 //     DiskCache of the same capacity. A deterministically hash-sampled
 //     subset of requests (1 in `sample_period`) is replayed through every
-//     shadow cache -- the set-dueling monitor. A shadow request-hit scores
-//     the contender by the request's bundle bytes, doubled when the
-//     injected OPT oracle (core/optgen's BundleOPTgen, fed the same
-//     sampled subsequence) says OPT would have kept the bundle too --
-//     hits that the oracle endorses are evidence of OPT-like behaviour,
-//     not luck.
+//     shadow cache by the simulator's own admit() step -- the set-dueling
+//     monitor. A shadow request-hit scores the contender by the request's
+//     bundle bytes, doubled when the injected OPT oracle (core/optgen's
+//     BundleOPTgen, fed the same sampled subsequence) says OPT would have
+//     kept the bundle too -- hits that the oracle endorses are evidence of
+//     OPT-like behaviour, not luck.
 //   * Every `phase_jobs` arrivals the scores are compared (highest wins,
 //     ties break to the lowest index == the registry order) and the winner
 //     leads the next phase; scores then reset so old phases cannot
@@ -120,7 +120,6 @@ class AdaptivePolicy final : public ReplacementPolicy {
   void ensure_duel_state(const DiskCache& cache);
   void elect();
   void duel(const Request& request, const DiskCache& cache);
-  void shadow_step(std::size_t i, const Request& request, double weight);
 
   const FileCatalog* catalog_;
   AdaptiveConfig config_;
@@ -128,6 +127,8 @@ class AdaptivePolicy final : public ReplacementPolicy {
   OracleFactory oracle_factory_;
   OracleStream oracle_;
   std::vector<std::unique_ptr<DiskCache>> shadows_;
+  /// The shadow admissions' counters; unread (hits score the duel).
+  CacheMetrics shadow_metrics_;
   std::vector<double> scores_;
   std::vector<std::size_t> winner_history_;
   std::size_t leader_ = 0;

@@ -56,10 +56,10 @@ class FetchCoalescer {
 
   /// Marks `files` in-flight on behalf of one transfer whose bytes are
   /// ready at `ready_at`; the default (time_point::max()) leaves the
-  /// arrival to complete_fetch(). Files already in-flight (a
-  /// re-reservation after eviction mid-flight cannot happen while leases
-  /// pin them, but be defensive) are counted per owner and keep the
-  /// latest ready instant.
+  /// arrival to complete_fetch(). A file can already be in flight: no
+  /// lease pins a prefetched file, so another admission may evict it
+  /// mid-flight and fetch it again. Each such file is counted per owner
+  /// and keeps the latest ready instant.
   void begin_fetch(std::span<const FileId> files,
                    Clock::time_point ready_at = Clock::time_point::max());
 

@@ -9,6 +9,7 @@
 #include <thread>
 #include <unordered_set>
 
+#include "cache/simulator.hpp"
 #include "core/registry.hpp"
 #include "util/log.hpp"
 
@@ -129,29 +130,10 @@ bool BundleServer::fits_locked(const Request& request) const {
 
 void BundleServer::admit_locked(Waiter& waiter) {
   const Request& request = *waiter.request;
-  policy_->on_job_arrival(request, cache_);
-  std::vector<FileId> missing = cache_.missing_files(request);
-  waiter.missing_bytes = mss_->catalog().bundle_bytes(missing);
-  metrics_.record_job(waiter.bundle_bytes, waiter.missing_bytes,
-                      request.size(), request.size() - missing.size());
-  if (missing.empty()) {
-    waiter.request_hit = true;
-    policy_->on_request_hit(request, cache_);
-  } else {
-    waiter.request_hit = false;
-    if (cache_.free_bytes() < waiter.missing_bytes) {
-      const Bytes needed = waiter.missing_bytes - cache_.free_bytes();
-      for (FileId victim : policy_->select_victims(request, needed, cache_)) {
-        metrics_.record_eviction(mss_->catalog().size_of(victim));
-        cache_.evict(victim);  // throws on a leased (pinned) file
-        policy_->on_file_evicted(victim);
-      }
-      if (cache_.free_bytes() < waiter.missing_bytes)
-        throw std::runtime_error(
-            "BundleServer: policy freed insufficient space");
-    }
-    for (FileId id : missing) cache_.insert(id);
-    policy_->on_files_loaded(request, missing, cache_);
+  AdmitOutcome admitted = admit(request, cache_, *policy_, metrics_);
+  waiter.request_hit = admitted.request_hit;
+  waiter.missing_bytes = admitted.missing_bytes;
+  if (!admitted.fetched.empty()) {
     // At time_scale 0 staging is instantaneous: the default ready
     // instant (the clock's epoch) has always passed.
     if (config_.time_scale > 0.0)
@@ -159,16 +141,16 @@ void BundleServer::admit_locked(Waiter& waiter) {
           Clock::now() +
           std::chrono::duration_cast<Clock::duration>(
               std::chrono::duration<double>(
-                  transfers_.stage_seconds(missing, *mss_) *
+                  transfers_.stage_seconds(admitted.fetched, *mss_) *
                   config_.time_scale));
-    // Register the transfer as in-flight before anyone else can be
-    // granted an overlapping bundle: begin_fetch under mu_ closes the
-    // window between "reserved (files look resident)" and "in-flight set
-    // updated". The coalescer mutex is a leaf, so mu_ -> coalescer is the
-    // only order that ever occurs.
-    coalescer_.begin_fetch(missing, waiter.ready_at);
+    // Register the transfer (demand and prefetched files alike) as
+    // in-flight before anyone else can be granted an overlapping bundle:
+    // begin_fetch under mu_ closes the window between "reserved (files
+    // look resident)" and "in-flight set updated". The coalescer mutex is
+    // a leaf, so mu_ -> coalescer is the only order that ever occurs.
+    coalescer_.begin_fetch(admitted.fetched, waiter.ready_at);
   }
-  waiter.fetched = std::move(missing);
+  waiter.fetched = std::move(admitted.fetched);
   // The grant instant ends the reserve stage and starts lease.hold_us.
   waiter.t_reserved = Clock::now();
   waiter.lease = leases_.grant(request, cache_, waiter.t_reserved);

@@ -6,11 +6,13 @@
 // a bounded admission queue, and admission itself follows a two-phase
 // protocol:
 //
-//   reserve  under the admission lock: the policy picks victims, the cache
-//            evicts them and inserts the missing files, and every bundle
-//            file is pinned through a lease -- from this instant no other
-//            admission can evict the bundle. The transfer's ready instant
-//            (now plus the scaled stage time) is stamped here too;
+//   reserve  under the admission lock: the shared admit() step (cache/
+//            simulator.hpp) lets the policy pick victims, evicts them,
+//            inserts the missing files and any prefetched ones, and every
+//            bundle file is pinned through a lease -- from this instant no
+//            other admission can evict the bundle. The transfer's ready
+//            instant (now plus the scaled stage time of every file loaded)
+//            is stamped here too;
 //   fetch    outside the lock: the simulated MSS transfer runs until its
 //            ready instant (injectable failures with bounded exponential-
 //            backoff retry happen before the reserve, so a reserved
@@ -43,11 +45,12 @@
 // sequence is byte-identical, only the lock round-trips between entries
 // disappear (testing/sched_sim pins this equivalence).
 //
-// All *decision* logic stays in the existing engines: the replacement
-// policy chooses victims exactly as in the simulator (ServiceConfig::
-// engine selects the reference or incremental OptFileBundle selector,
-// and shadow_diff runs both in lock-step, asserting bit-identical
-// decisions), and CacheMetrics does the accounting. The server owns only
+// All *decision* logic stays in the existing engines: admission runs
+// the simulator's own admit() step with the configured policy
+// (ServiceConfig::engine selects the reference or incremental
+// OptFileBundle selector, and shadow_diff runs both in lock-step,
+// asserting bit-identical decisions), and CacheMetrics does the
+// accounting. The server owns only
 // concurrency, queuing and backpressure, so invariants checked by the
 // fuzzing oracles carry over unchanged (audit() re-checks them
 // independently).
@@ -291,8 +294,9 @@ class BundleServer : public ServingEndpoint {
     LeaseId lease = 0;
     bool request_hit = false;
     Bytes missing_bytes = 0;
-    /// Files this admission actually stages (missing at reserve time);
-    /// the coalescer keys in-flight transfers on them.
+    /// Files this admission actually stages: those missing at reserve
+    /// time, then the policy's prefetched ones (which no lease pins). The
+    /// coalescer keys in-flight transfers on them.
     std::vector<FileId> fetched;
     std::uint32_t failed_attempts = 0;
     /// Stage boundary instants stamped by the draining thread so span
@@ -351,9 +355,9 @@ class BundleServer : public ServingEndpoint {
   // fbc:requires(mu_)
   std::size_t drain_locked();
 
-  /// Evicts victims, inserts missing files, grants the lease, registers
-  /// the transfer with its ready instant and records metrics, filling in
-  /// the waiter's admission outcome.
+  /// Runs admit() (victims, missing and prefetched files, metrics),
+  /// grants the lease and registers the transfer with its ready instant,
+  /// filling in the waiter's admission outcome.
   // fbc:requires(mu_)
   void admit_locked(Waiter& waiter);
 

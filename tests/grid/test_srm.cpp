@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/simulator.hpp"
+#include "core/registry.hpp"
 #include "policies/lru.hpp"
+#include "workload/workload.hpp"
 
 namespace fbc {
 namespace {
@@ -134,6 +137,46 @@ TEST(Srm, ThroughputComputation) {
       srm.run(std::vector<GridJob>{GridJob{Request({0}), 0.0, 0.0}});
   // One job finishing at t = 3600 s -> exactly 1 job/hour.
   EXPECT_DOUBLE_EQ(report.throughput_jobs_per_hour(), 1.0);
+}
+
+// One slot, jobs back to back: the SRM runs simulate()'s admissions for
+// every registered policy, the prefetching optfb-full and optfb-window
+// included, and stages exactly the missed plus the prefetched bytes.
+TEST(Srm, SingleSlotBackToBackMatchesSimulateForEveryPolicy) {
+  WorkloadConfig wconfig;
+  wconfig.seed = 1;
+  wconfig.cache_bytes = 64 * MiB;
+  wconfig.num_files = 400;
+  wconfig.min_file_bytes = 64 * KiB;
+  wconfig.max_file_frac = 0.02;
+  wconfig.num_requests = 150;
+  wconfig.num_jobs = 600;
+  wconfig.popularity = Popularity::Zipf;
+  const Workload w = generate_workload(wconfig);
+  MassStorageSystem mss(default_tiers(), w.catalog);
+  std::vector<GridJob> jobs;
+  for (const Request& job : w.jobs) jobs.push_back(GridJob{job, 0.0, 0.0});
+
+  for (const std::string& name : policy_names()) {
+    SCOPED_TRACE(name);
+    PolicyContext context;
+    context.catalog = &w.catalog;
+    context.jobs = w.jobs;
+    const PolicyPtr served = make_policy(name, context);
+    const SrmReport report =
+        StorageResourceManager(SrmConfig{.cache_bytes = wconfig.cache_bytes},
+                               mss, *served)
+            .run(jobs);
+
+    const PolicyPtr simulated = make_policy(name, context);
+    const CacheMetrics sim =
+        simulate(SimulatorConfig{.cache_bytes = wconfig.cache_bytes},
+                 w.catalog, *simulated, w.jobs)
+            .metrics;
+    EXPECT_EQ(report.request_hits, sim.request_hits());
+    EXPECT_EQ(report.bytes_staged, sim.bytes_missed() + sim.bytes_prefetched());
+    EXPECT_GT(sim.evictions(), 0u);  // the cache was under pressure
+  }
 }
 
 TEST(SrmReport, EmptyThroughputIsZero) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -737,6 +738,89 @@ TEST(BundleServer, ReserveReturnsBeforeTheStageTimeWithTheBundlePinned) {
   EXPECT_TRUE(server.audit().empty());
 }
 
+/// Evicts the lowest-numbered evictable files, and after a miss on
+/// `trigger` prefetches `file`.
+class PrefetchOnePolicy final : public ReplacementPolicy {
+ public:
+  PrefetchOnePolicy(Request trigger, FileId file)
+      : trigger_(std::move(trigger)), file_(file) {}
+
+  [[nodiscard]] std::string name() const override { return "prefetch-one"; }
+  [[nodiscard]] std::vector<FileId> select_victims(
+      const Request& request, Bytes bytes_needed,
+      const DiskCache& cache) override {
+    std::vector<FileId> resident(cache.resident_files().begin(),
+                                 cache.resident_files().end());
+    std::sort(resident.begin(), resident.end());
+    std::vector<FileId> victims;
+    Bytes freed = 0;
+    for (FileId id : resident) {
+      if (freed >= bytes_needed) break;
+      if (request.contains(id) || cache.pinned(id)) continue;
+      victims.push_back(id);
+      freed += cache.catalog().size_of(id);
+    }
+    return victims;
+  }
+  [[nodiscard]] std::vector<FileId> prefetch(const Request& request,
+                                             const DiskCache&) override {
+    if (request == trigger_) return {file_};
+    return {};
+  }
+
+ private:
+  Request trigger_;
+  FileId file_;
+};
+
+TEST(BundleServer, InFlightPrefetchedFileCanBeEvictedAndFetchedAgain) {
+  // Three 100-byte files fit; every file stages from the disk pool
+  // (50 ms, 50 ms of wall time at time scale 1).
+  const FileCatalog catalog(std::vector<Bytes>(5, 100));
+  MassStorageSystem mss(default_tiers(), catalog);
+  ServiceConfig config;
+  config.cache_bytes = 300;
+  config.time_scale = 1.0;
+  config.policy_factory = [](const std::string&, const PolicyContext&) {
+    return std::make_unique<PrefetchOnePolicy>(Request({0}), 2);
+  };
+  BundleServer server(config, mss);
+
+  // A reservation keeps a pointer to its request until it is finished.
+  const Request zero({0}), one_three({1, 3}), two({2});
+
+  // {0} misses and prefetches file 2 in the same transfer; no lease pins 2.
+  Reservation first = server.reserve(zero);
+  ASSERT_EQ(first.result.status, AcquireStatus::Ok);
+  EXPECT_EQ(server.resident_files(), (std::vector<FileId>{0, 2}));
+  EXPECT_EQ(server.in_flight_files(), 2u);
+
+  // {1, 3} evicts the prefetched file 2 while its transfer is in flight.
+  Reservation second = server.reserve(one_three);
+  ASSERT_EQ(second.result.status, AcquireStatus::Ok);
+  EXPECT_EQ(server.resident_files(), (std::vector<FileId>{0, 1, 3}));
+  EXPECT_EQ(server.in_flight_files(), 4u);
+  EXPECT_TRUE(server.release(second.result.lease));
+
+  // {2} fetches file 2 again: a second owner of the same in-flight file.
+  Reservation third = server.reserve(two);
+  ASSERT_EQ(third.result.status, AcquireStatus::Ok);
+  EXPECT_FALSE(third.result.request_hit);
+  EXPECT_EQ(server.resident_files(), (std::vector<FileId>{0, 2, 3}));
+  EXPECT_EQ(server.in_flight_files(), 4u);
+
+  // Retiring the first transfer leaves file 2 in flight for the third.
+  ASSERT_EQ(finish(first).status, AcquireStatus::Ok);
+  EXPECT_EQ(server.in_flight_files(), 3u);
+  ASSERT_EQ(finish(third).status, AcquireStatus::Ok);
+  ASSERT_EQ(finish(second).status, AcquireStatus::Ok);
+  EXPECT_EQ(server.in_flight_files(), 0u);
+  EXPECT_TRUE(server.release(first.result.lease));
+  EXPECT_TRUE(server.release(third.result.lease));
+  EXPECT_TRUE(server.audit().empty());
+  EXPECT_EQ(server.stats().bytes_missed, 400u);
+}
+
 TEST(BundleServer, RefusedReservationHasNothingToFinish) {
   FileCatalog catalog = sized_catalog(3);
   MassStorageSystem mss(default_tiers(), catalog);
@@ -751,11 +835,11 @@ TEST(BundleServer, RefusedReservationHasNothingToFinish) {
 }
 
 // Served = simulated: a one-shard server fed one request at a time, with
-// no staging sleep, makes simulate()'s decisions for every policy that
-// only reacts to demand. lookahead needs the future job stream, and
-// optfb-full and optfb-window prefetch in simulate() (OptFileBundle step
-// 3) through ReplacementPolicy::prefetch(), which the server never calls.
-TEST(BundleServer, SerialServingMatchesSimulateForDemandPolicies) {
+// no staging sleep, makes simulate()'s decisions for every policy, the
+// prefetching optfb-full and optfb-window (OptFileBundle step 3)
+// included. lookahead needs the future job stream, which a server never
+// sees.
+TEST(BundleServer, SerialServingMatchesSimulate) {
   WorkloadConfig wconfig;
   wconfig.seed = 1;
   wconfig.cache_bytes = 64 * MiB;
@@ -769,8 +853,7 @@ TEST(BundleServer, SerialServingMatchesSimulateForDemandPolicies) {
   MassStorageSystem mss(default_tiers(), w.catalog);
 
   for (const std::string& name : policy_names()) {
-    if (name == "lookahead" || name == "optfb-full" || name == "optfb-window")
-      continue;
+    if (name == "lookahead") continue;
     SCOPED_TRACE(name);
     ServiceConfig config;
     config.cache_bytes = wconfig.cache_bytes;

@@ -105,15 +105,12 @@ TEST(ServingCommon, ClusterFlagsMapOntoEveryConfigField) {
   CliParser cli("test", "flag mapping");
   add_cluster_options(cli);
   cli.parse({"--shards=7", "--placement=hash", "--spill-threshold=0.75",
-             "--vnodes=16", "--replica-sites=2", "--replicate-hot=5",
-             "--down-threshold=6", "--probe-ms=0"});
+             "--vnodes=16", "--down-threshold=6", "--probe-ms=0"});
   const cluster::ClusterConfig actual = cluster_config_from_cli(cli);
   EXPECT_EQ(actual.shards, 7u);
   EXPECT_EQ(actual.placement, cluster::PlacementMode::HashFile);
   EXPECT_DOUBLE_EQ(actual.spill_threshold, 0.75);
   EXPECT_EQ(actual.vnodes, 16u);
-  EXPECT_EQ(actual.replica_sites, 2u);
-  EXPECT_EQ(actual.replicate_hot, 5u);
   EXPECT_EQ(actual.down_threshold, 6u);
   EXPECT_EQ(actual.probe_ms, 0u);
   const cluster::ClusterConfig expected;

@@ -34,10 +34,8 @@ int main(int argc, char** argv) {
     const service::ServiceConfig config = tools::service_config_from_cli(cli);
     const Workload workload =
         tools::build_scenario_workload(cli, config.cache_bytes);
-    MassStorageSystem mss(default_tiers(), workload.catalog);
-    place_tier_mix(mss, cli.get_string("tier-mix"), cli.get_u64("wseed"));
-
-    service::BundleServer server(config, mss);
+    const auto mss = tools::make_tiered_mss(cli, workload);
+    service::BundleServer server(config, *mss);
     service::BundleDaemon daemon(
         server, static_cast<std::uint16_t>(cli.get_u64("port")));
     // Parseable startup line; fbcload's --inline-free remote mode and the

@@ -88,19 +88,15 @@ int main(int argc, char** argv) {
     if (spawn && !attach.empty())
       throw std::invalid_argument("--spawn-remote and --attach are exclusive");
     const bool remote = spawn || !attach.empty();
-    if (remote && cluster_config.replica_sites != 0)
-      throw std::invalid_argument(
-          "--replica-sites needs the in-process cluster (fbcd shards fetch "
-          "from their own plain MSS)");
 
     // The job stream is sized against one shard's cache, same as fbcload
     // --cluster, so both sides generate identical catalogs.
     const Workload workload =
         tools::build_scenario_workload(cli, service_config.cache_bytes);
 
+    std::unique_ptr<MassStorageSystem> mss;
     cluster::ClusterStack stack;  // in-process shards (default mode)
     std::unique_ptr<cluster::ClusterRouter> remote_router;
-    tools::ClusterBackend backend;
     cluster::ClusterRouter* router = nullptr;
     if (remote) {
       std::vector<std::uint16_t> ports;
@@ -130,9 +126,9 @@ int main(int argc, char** argv) {
           std::move(shards));
       router = remote_router.get();
     } else {
-      backend = tools::make_cluster_backend(cluster_config, cli, workload);
-      stack = cluster::make_local_cluster(cluster_config, service_config,
-                                          *backend.backend);
+      mss = tools::make_tiered_mss(cli, workload);
+      stack =
+          cluster::make_local_cluster(cluster_config, service_config, *mss);
       router = stack.router.get();
     }
 

@@ -338,25 +338,17 @@ int main(int argc, char** argv) {
     // Self-hosted daemon for loopback benchmarking / CI smoke.
     std::unique_ptr<MassStorageSystem> mss;
     std::unique_ptr<service::BundleServer> server;
-    tools::ClusterBackend cluster_backend;
     cluster::ClusterStack cluster_stack;
     std::unique_ptr<service::BundleDaemon> daemon;
     std::uint16_t port = static_cast<std::uint16_t>(cli.get_u64("port"));
     if (cli.get_flag("inline")) {
+      mss = tools::make_tiered_mss(cli, workload);
       if (cli.get_flag("cluster")) {
-        const cluster::ClusterConfig cluster_config =
-            tools::cluster_config_from_cli(cli);
-        cluster_backend =
-            tools::make_cluster_backend(cluster_config, cli, workload);
         cluster_stack = cluster::make_local_cluster(
-            cluster_config, config, *cluster_backend.backend);
+            tools::cluster_config_from_cli(cli), config, *mss);
         daemon = std::make_unique<service::BundleDaemon>(
             *cluster_stack.router, /*port=*/0);
       } else {
-        mss = std::make_unique<MassStorageSystem>(default_tiers(),
-                                                  workload.catalog);
-        place_tier_mix(*mss, cli.get_string("tier-mix"),
-                       cli.get_u64("wseed"));
         server = std::make_unique<service::BundleServer>(config, *mss);
         daemon = std::make_unique<service::BundleDaemon>(*server, /*port=*/0);
       }

@@ -29,7 +29,6 @@
 #include "core/incremental_select.hpp"
 #include "core/registry.hpp"
 #include "grid/mss.hpp"
-#include "grid/replica.hpp"
 #include "service/server.hpp"
 #include "testing/oracles.hpp"
 #include "util/bytes.hpp"
@@ -94,67 +93,14 @@ inline std::vector<std::string> shard_daemon_args(const CliParser& cli,
   return args;
 }
 
-/// The storage substrate behind a cluster: a plain tiered MSS, or a
-/// ReplicaManager when --replica-sites asks for replica-aware fetch.
-/// Exactly one of the owned pointers is set; `backend` aliases it.
-struct ClusterBackend {
-  std::unique_ptr<MassStorageSystem> mss;
-  std::unique_ptr<ReplicaManager> replicas;
-  StorageBackend* backend = nullptr;
-};
-
-/// Builds the cluster's shared storage backend. Plain mode reuses the
-/// fbcd stack (default tiers + --tier-mix placement). Replica mode puts
-/// the origin on the remote WAN tier and adds `replica_sites` disk-pool
-/// sites, pre-seeded deterministically from the job stream: the
-/// --replicate-hot hottest files go to *every* site, the rest greedily by
-/// popularity (ReplicaManager::replicate_by_popularity) -- so a shard's
-/// misses for popular files hit a nearby replica instead of the WAN.
-inline ClusterBackend make_cluster_backend(
-    const cluster::ClusterConfig& cluster_config, const CliParser& cli,
-    const Workload& workload) {
-  ClusterBackend out;
-  if (cluster_config.replica_sites == 0) {
-    out.mss =
-        std::make_unique<MassStorageSystem>(default_tiers(), workload.catalog);
-    place_tier_mix(*out.mss, cli.get_string("tier-mix"),
-                   cli.get_u64("wseed"));
-    out.backend = out.mss.get();
-    return out;
-  }
-  const std::vector<StorageTier> tiers = default_tiers();
-  std::vector<ReplicaSite> sites;
-  sites.push_back({"origin", tiers.back(), 0});
-  // Each replica site gets an equal slice of half the catalog: enough to
-  // matter, small enough that placement still has to choose.
-  const Bytes budget = std::max<Bytes>(
-      1, workload.catalog.total_bytes() / (2 * cluster_config.replica_sites));
-  for (std::uint32_t i = 0; i < cluster_config.replica_sites; ++i)
-    sites.push_back(
-        {"replica-" + std::to_string(i + 1), tiers.front(), budget});
-  out.replicas =
-      std::make_unique<ReplicaManager>(std::move(sites), workload.catalog);
-
-  std::vector<std::uint64_t> access_counts(workload.catalog.count(), 0);
-  for (const Request& job : workload.jobs)
-    for (FileId id : job.files) ++access_counts[id];
-  if (cluster_config.replicate_hot > 0) {
-    std::vector<FileId> by_heat(workload.catalog.count());
-    for (FileId id = 0; id < by_heat.size(); ++id) by_heat[id] = id;
-    std::sort(by_heat.begin(), by_heat.end(), [&](FileId a, FileId b) {
-      if (access_counts[a] != access_counts[b])
-        return access_counts[a] > access_counts[b];
-      return a < b;
-    });
-    const std::size_t hot =
-        std::min<std::size_t>(cluster_config.replicate_hot, by_heat.size());
-    for (std::size_t rank = 0; rank < hot; ++rank)
-      for (std::size_t site = 1; site < out.replicas->site_count(); ++site)
-        out.replicas->add_replica(by_heat[rank], site);
-  }
-  out.replicas->replicate_by_popularity(access_counts);
-  out.backend = out.replicas.get();
-  return out;
+/// The storage every serving tool stages from: the default tiers, with
+/// files placed by --tier-mix (seeded by --wseed).
+inline std::unique_ptr<MassStorageSystem> make_tiered_mss(
+    const CliParser& cli, const Workload& workload) {
+  auto mss =
+      std::make_unique<MassStorageSystem>(default_tiers(), workload.catalog);
+  place_tier_mix(*mss, cli.get_string("tier-mix"), cli.get_u64("wseed"));
+  return mss;
 }
 
 /// Client-side budget for QueueFull backpressure retries.
